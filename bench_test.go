@@ -72,8 +72,13 @@ func benchServingProfile() Profile {
 	return p
 }
 
-// BenchmarkServeRequest measures the end-to-end serving path: memory-model
-// accesses, DLRM forward, ring-buffer push, latency tracking.
+// BenchmarkServeRequest measures System.Serve with co-located training on
+// (DefaultOptions). Besides the serving path — memory-model accesses, DLRM
+// forward, ring-buffer push, latency tracking — every TrainInterval-th
+// request runs a train tick (mini-batch forward, frozen-dense backward, LoRA
+// SGD step, periodic rank adaptation) followed by the scheduling
+// controller's P99 read over the latency window. Those two dominate its
+// time; BenchmarkServeRequestNoAlloc isolates the forward.
 func BenchmarkServeRequest(b *testing.B) {
 	p := benchServingProfile()
 	sys, err := New(DefaultOptions(p, 1))

@@ -154,6 +154,12 @@ type System struct {
 	fullSyncs  uint64
 	scratchSeq int32 // unique block ids for the naive trainer's scratch state
 
+	// trainBackward is trainTick's backward pass: dlrm's BackwardFrozen,
+	// since the dense layers never learn on the node. It is a field so the
+	// core tests can run whole ticks through the accumulating Backward
+	// (plus ZeroGrad) reference and compare the outcomes.
+	trainBackward func(m *dlrm.Model, dLogit float64, cache *dlrm.ForwardCache) [][]float64
+
 	// paramMu excludes lock-free forwards (read) from in-place parameter
 	// writes (write): the LoRA training step mutates the current adapter
 	// state directly and FullSync overwrites base tables and dense weights.
@@ -210,6 +216,8 @@ func New(opts Options) (*System, error) {
 		LoRA:     set,
 		Node:     node,
 		trainRNG: tensor.NewRNG(opts.Seed ^ 0x7ea1),
+
+		trainBackward: (*dlrm.Model).BackwardFrozen,
 	}
 	if opts.EnableScheduling {
 		ctl, err := numasim.NewController(opts.Controller, machine, clock, opts.InitialInfCCD)
@@ -618,13 +626,12 @@ func (s *System) trainTick() {
 			}
 		}
 		s.Clock.Advance(memTime)
-		// LoRA-only learning: base and dense weights frozen. The cache is
+		// LoRA-only learning: base and dense weights frozen, so the backward
+		// pass only propagates gradients to the embeddings. The cache is
 		// reused across samples: Forward overwrites every field it reads.
 		logit := s.Model.Forward(s.LoRA, sample.Dense, sample.Sparse, cache)
 		dLogit := dlrm.Sigmoid(logit) - float64(sample.Label)
-		dEmb := s.Model.Backward(dLogit, cache)
-		s.Model.Bottom.ZeroGrad()
-		s.Model.Top.ZeroGrad()
+		dEmb := s.trainBackward(s.Model, dLogit, cache)
 		for t, g := range dEmb {
 			s.LoRA.ApplyGrad(t, sample.Sparse[t], g, s.Opts.EmbLR)
 		}

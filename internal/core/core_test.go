@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"liveupdate/internal/dlrm"
@@ -367,5 +368,55 @@ func TestQuantizationOptionValidation(t *testing.T) {
 	o.Quantization = "int7"
 	if _, err := New(o); err == nil {
 		t.Fatal("invalid quantization mode must fail validation")
+	}
+}
+
+// TestFrozenTrainTickMatchesAccumulatingReference runs the same request
+// stream through two systems: one with the train tick's frozen-dense
+// backward, one with the reference that accumulates dense gradients through
+// Backward and discards them with ZeroGrad. Every served probability and
+// latency, the virtual-time Stats, and the final adapter state (rows, B,
+// rank, adaptation and prune counts) must be identical.
+func TestFrozenTrainTickMatchesAccumulatingReference(t *testing.T) {
+	const requests = 1200
+	frozen := MustNew(testOptions())
+	ref := MustNew(testOptions())
+	ref.trainBackward = func(m *dlrm.Model, dLogit float64, cache *dlrm.ForwardCache) [][]float64 {
+		dEmb := m.Backward(dLogit, cache)
+		m.Bottom.ZeroGrad()
+		m.Top.ZeroGrad()
+		return dEmb
+	}
+	genA := trace.MustNewGenerator(testProfile(), 21)
+	genB := trace.MustNewGenerator(testProfile(), 21)
+	for i := 0; i < requests; i++ {
+		ra, err := frozen.Serve(genA.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := ref.Serve(genB.Next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra != rb {
+			t.Fatalf("request %d: frozen %+v, reference %+v", i, ra, rb)
+		}
+	}
+	fs, rs := frozen.Stats(), ref.Stats()
+	if fs.TrainSteps < uint64(requests/testOptions().TrainInterval) || fs.LoRAHotRows == 0 {
+		t.Fatalf("too little training to compare: %d ticks, %d hot rows", fs.TrainSteps, fs.LoRAHotRows)
+	}
+	if !reflect.DeepEqual(fs, rs) {
+		t.Fatalf("stats diverged:\n frozen    %+v\n reference %+v", fs, rs)
+	}
+	if !reflect.DeepEqual(frozen.LoRA.ExportFull(), ref.LoRA.ExportFull()) {
+		t.Fatal("adapter state diverged between frozen and reference train ticks")
+	}
+	for i, a := range frozen.LoRA.Adapters {
+		b := ref.LoRA.Adapters[i]
+		if a.Adaptations() != b.Adaptations() || a.PrunedTotal() != b.PrunedTotal() {
+			t.Fatalf("table %d: adaptations %d/%d, pruned %d/%d", i,
+				a.Adaptations(), b.Adaptations(), a.PrunedTotal(), b.PrunedTotal())
+		}
 	}
 }

@@ -104,6 +104,13 @@ type LayerCache struct {
 // and returns the gradient w.r.t. the layer input. The returned slice aliases
 // the cache's scratch and is valid until the cache's next Backward.
 func (l *Layer) Backward(dOut []float64, cache *LayerCache) []float64 {
+	return l.backward(dOut, cache, true)
+}
+
+// backward is Backward's body. With accum false the layer is treated as
+// frozen: the gradW/gradB outer products are skipped and only the input
+// gradient is computed, bit-identical to the accumulating pass.
+func (l *Layer) backward(dOut []float64, cache *LayerCache, accum bool) []float64 {
 	dPre := dOut
 	if l.ReLU {
 		cache.dPre = growFloats(cache.dPre, len(dOut))
@@ -117,15 +124,17 @@ func (l *Layer) Backward(dOut []float64, cache *LayerCache) []float64 {
 		}
 	}
 	in := cache.Input
-	for o, dp := range dPre {
-		if dp == 0 {
-			continue
+	if accum {
+		for o, dp := range dPre {
+			if dp == 0 {
+				continue
+			}
+			row := l.gradW.Row(o)
+			for i, xi := range in {
+				row[i] += dp * xi
+			}
+			l.gradB[o] += dp
 		}
-		row := l.gradW.Row(o)
-		for i, xi := range in {
-			row[i] += dp * xi
-		}
-		l.gradB[o] += dp
 	}
 	cache.dIn = growFloats(cache.dIn, len(in))
 	dIn := cache.dIn
@@ -303,9 +312,15 @@ func (m *MLP) InferInto(x []float64, s *MLPScratch) []float64 {
 // Backward backpropagates dOut through the stack, accumulating gradients,
 // and returns the gradient w.r.t. the MLP input.
 func (m *MLP) Backward(dOut []float64, cache *MLPCache) []float64 {
+	return m.backward(dOut, cache, true)
+}
+
+// backward runs each layer's backward pass, accumulating parameter gradients
+// only when accum is set.
+func (m *MLP) backward(dOut []float64, cache *MLPCache, accum bool) []float64 {
 	d := dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		d = m.Layers[i].Backward(d, &cache.layers[i])
+		d = m.Layers[i].backward(d, &cache.layers[i], accum)
 	}
 	return d
 }

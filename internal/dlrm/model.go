@@ -509,13 +509,24 @@ func (m *Model) predictBatchInto(src EmbeddingSource, dense [][]float64, sparse 
 // The returned rows alias the cache's scratch and are valid until its next
 // Backward.
 func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
+	return m.backward(dLogit, cache, true)
+}
+
+// BackwardFrozen is Backward for a model whose dense MLPs are frozen — the
+// co-located LoRA trainer, where only embedding adapters learn. It
+// propagates input gradients through the top MLP without accumulating its
+// parameter gradients and skips the bottom MLP, so the returned embedding
+// gradients are bit-identical to Backward's while no layer's gradient
+// accumulators are touched.
+func (m *Model) BackwardFrozen(dLogit float64, cache *ForwardCache) [][]float64 {
+	return m.backward(dLogit, cache, false)
+}
+
+// backward is the shared body of Backward (accum) and BackwardFrozen.
+func (m *Model) backward(dLogit float64, cache *ForwardCache, accum bool) [][]float64 {
 	cfg := m.Cfg
 	cache.dLogit[0] = dLogit
-	dTopIn := m.Top.Backward(cache.dLogit[:], &cache.top)
-
-	cache.dZ = growFloats(cache.dZ, cfg.EmbeddingDim)
-	dZ := cache.dZ
-	copy(dZ, dTopIn[:cfg.EmbeddingDim])
+	dTopIn := m.Top.backward(cache.dLogit[:], &cache.top, accum)
 	dInter := dTopIn[cfg.EmbeddingDim:]
 
 	features := cache.features
@@ -545,12 +556,18 @@ func (m *Model) Backward(dLogit float64, cache *ForwardCache) [][]float64 {
 			tensor.Axpy(g, features[i], dFeatures[j])
 		}
 	}
-	// f_0 is the bottom output: its gradient combines the direct top-input
-	// path and the interaction path.
-	for i := range dZ {
-		dZ[i] += dFeatures[0][i]
+	if accum {
+		// f_0 is the bottom output: its gradient combines the direct
+		// top-input path and the interaction path. A frozen bottom MLP has
+		// no parameter to update and its input is the raw dense features,
+		// so BackwardFrozen skips this pass entirely.
+		cache.dZ = growFloats(cache.dZ, cfg.EmbeddingDim)
+		dZ := cache.dZ
+		for i := range dZ {
+			dZ[i] = dTopIn[i] + dFeatures[0][i]
+		}
+		m.Bottom.Backward(dZ, &cache.bottom)
 	}
-	m.Bottom.Backward(dZ, &cache.bottom)
 	return dFeatures[1:]
 }
 

@@ -394,11 +394,14 @@ func (a *Adapter) Resize(r int) {
 	if r > st.rank {
 		// Grow: zero B rows keep ∆W identical; the new A coordinates are
 		// randomly initialized so gradients flow into the added capacity.
+		// Rows draw from the RNG in id order (not map order), so a seeded
+		// adapter grows reproducibly.
 		newB := tensor.NewMatrix(r, a.cfg.Dim)
 		copy(newB.Data, st.b.Data)
 		scale := 1 / math.Sqrt(float64(r))
 		rows := make(map[int32][]float64, len(st.rows))
-		for id, row := range st.rows {
+		for _, id := range sortedIDs(st.rows) {
+			row := st.rows[id]
 			nr := make([]float64, r)
 			copy(nr, row)
 			for k := len(row); k < r; k++ {
@@ -418,11 +421,7 @@ func (a *Adapter) Resize(r int) {
 		})
 		return
 	}
-	ids := make([]int32, 0, len(st.rows))
-	for id := range st.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedIDs(st.rows)
 	delta := tensor.NewMatrix(len(ids), a.cfg.Dim)
 	for i, id := range ids {
 		a.Delta(id, delta.Row(i))
@@ -433,6 +432,16 @@ func (a *Adapter) Resize(r int) {
 		rows[id] = append([]float64(nil), left.Row(i)...)
 	}
 	a.cur.Store(&adapterState{rank: r, b: right, rows: rows})
+}
+
+// sortedIDs returns the ids of rows in ascending order.
+func sortedIDs(rows map[int32][]float64) []int32 {
+	ids := make([]int32, 0, len(rows))
+	for id := range rows {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // SizeBytes returns the adapter's parameter footprint: active A rows plus B.

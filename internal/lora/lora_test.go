@@ -140,6 +140,44 @@ func TestResizeGrowPreservesDelta(t *testing.T) {
 	}
 }
 
+// Growing the rank draws fresh A coordinates from the adapter's seeded RNG;
+// the draws must land on the same rows every run, so two same-seed adapters
+// trained identically hold bit-identical A rows after growing.
+func TestResizeGrowReproducibleAtFixedSeed(t *testing.T) {
+	grow := func() []RowUpdate {
+		cfg := testConfig()
+		cfg.Seed = 11
+		cfg.DisableRankAdapt = true
+		a := MustNewAdapter(cfg)
+		rng := tensor.NewRNG(3)
+		grad := make([]float64, cfg.Dim)
+		for step := 0; step < 30; step++ {
+			ids := []int32{int32(rng.Intn(100)), int32(rng.Intn(100)), int32(rng.Intn(100))}
+			for i := range grad {
+				grad[i] = rng.NormFloat64()
+			}
+			a.Train(ids, grad, 0.1)
+		}
+		a.Resize(7)
+		return a.ExportAllRows()
+	}
+	first, second := grow(), grow()
+	if len(first) < 20 || len(first) != len(second) {
+		t.Fatalf("active rows %d vs %d, want equal and >= 20", len(first), len(second))
+	}
+	for i := range first {
+		if first[i].ID != second[i].ID {
+			t.Fatalf("row %d: id %d vs %d", i, first[i].ID, second[i].ID)
+		}
+		for k := range first[i].Row {
+			if math.Float64bits(first[i].Row[k]) != math.Float64bits(second[i].Row[k]) {
+				t.Fatalf("id %d coordinate %d: %v vs %v after same-seed grow",
+					first[i].ID, k, first[i].Row[k], second[i].Row[k])
+			}
+		}
+	}
+}
+
 func TestResizeShrinkApproximatesDelta(t *testing.T) {
 	a := MustNewAdapter(testConfig())
 	seedAdapter(a, 20)

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -82,33 +83,108 @@ func LogLoss(scores []float64, labels []int) float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
-// interpolation between closest ranks. It copies and sorts the input.
+// interpolation between closest ranks. It copies the input and selects the
+// two bracketing order statistics in O(n) (see quantileInPlace); the result
+// equals interpolating over a sort.Float64s-sorted copy.
 func Quantile(values []float64, q float64) float64 {
 	if len(values) == 0 {
 		return 0
 	}
+	return quantileInPlace(append([]float64(nil), values...), q)
+}
+
+// quantileInPlace is Quantile over a non-empty buf it may reorder. The lower
+// bracketing rank lo is placed by selection; every element after it is then
+// no smaller, so the upper rank lo+1 is the minimum of that suffix. Both
+// comparisons use sort.Float64s' order (NaNs first), so the two values — and
+// hence the interpolation — match the sorted-copy formulation exactly, up to
+// the sign of a zero (the sort does not order -0 against +0 either).
+func quantileInPlace(buf []float64, q float64) float64 {
 	if q < 0 {
 		q = 0
 	} else if q > 1 {
 		q = 1
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(len(buf)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	selectKth(buf, lo)
 	if lo == hi {
-		return sorted[lo]
+		return buf[lo]
+	}
+	next := buf[hi]
+	for _, v := range buf[hi+1:] {
+		if floatLess(v, next) {
+			next = v
+		}
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return buf[lo]*(1-frac) + next*frac
+}
+
+// floatLess is the order sort.Float64s uses: NaNs before every number.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectCutoff is the range length below which selectKth finishes with a sort.
+const selectCutoff = 16
+
+// selectKth reorders x so that x[k] holds the element a floatLess sort would
+// put there, with nothing after k less than it and nothing before k greater
+// (Hoare's quickselect with a median-of-three pivot; expected O(n)). Small
+// ranges, and any range still open after 2·log₂n partitions (an adversarial
+// input), finish with a sort, which bounds the worst case at O(n log n).
+func selectKth(x []float64, k int) {
+	lo, hi := 0, len(x)-1
+	for budget := 2 * bits.Len(uint(len(x))); hi-lo >= selectCutoff && budget > 0; budget-- {
+		// Median of three: afterwards x[lo] <= x[mid] <= x[hi], which also
+		// bounds the partition scans below without index checks.
+		mid := lo + (hi-lo)/2
+		if floatLess(x[mid], x[lo]) {
+			x[mid], x[lo] = x[lo], x[mid]
+		}
+		if floatLess(x[hi], x[lo]) {
+			x[hi], x[lo] = x[lo], x[hi]
+		}
+		if floatLess(x[hi], x[mid]) {
+			x[hi], x[mid] = x[mid], x[hi]
+		}
+		p := x[mid]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(x[i], p) {
+				i++
+			}
+			for floatLess(p, x[j]) {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// Now x[lo..j] <= p <= x[i..hi], and anything strictly between
+		// j and i equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	sort.Float64s(x[lo : hi+1])
 }
 
 // LatencyTracker accumulates latency samples over a sliding window and
-// reports quantiles. It keeps the most recent Window samples.
+// reports quantiles. It keeps the most recent Window samples. A tracker has
+// one owner: quantile reads reorder a reused scratch copy of the window, so
+// even P99/P50/QuantileOf must not run concurrently with any other method.
 type LatencyTracker struct {
 	window  int
 	samples []float64
+	scratch []float64 // quantile selection buffer, reused across reads
 	next    int
 	count   uint64
 	sum     float64
@@ -146,13 +222,21 @@ func (t *LatencyTracker) Mean() float64 {
 }
 
 // P99 returns the 99th-percentile latency over the retained window.
-func (t *LatencyTracker) P99() float64 { return Quantile(t.samples, 0.99) }
+func (t *LatencyTracker) P99() float64 { return t.QuantileOf(0.99) }
 
 // P50 returns the median latency over the retained window.
-func (t *LatencyTracker) P50() float64 { return Quantile(t.samples, 0.50) }
+func (t *LatencyTracker) P50() float64 { return t.QuantileOf(0.50) }
 
-// QuantileOf returns an arbitrary quantile over the retained window.
-func (t *LatencyTracker) QuantileOf(q float64) float64 { return Quantile(t.samples, q) }
+// QuantileOf returns an arbitrary quantile over the retained window. It
+// selects on the tracker's scratch copy, allocation-free once the scratch has
+// grown to the window.
+func (t *LatencyTracker) QuantileOf(q float64) float64 {
+	if len(t.samples) == 0 {
+		return 0
+	}
+	t.scratch = append(t.scratch[:0], t.samples...)
+	return quantileInPlace(t.scratch, q)
+}
 
 // Samples returns a copy of the retained window (unordered with respect to
 // observation time once the window has wrapped). It lets callers pool raw

@@ -116,29 +116,28 @@ func TestLogLoss(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(vals, 0.5); q != 3 {
-		t.Fatalf("median = %v, want 3", q)
-	}
-	if q := Quantile(vals, 0); q != 1 {
-		t.Fatalf("q0 = %v, want 1", q)
-	}
-	if q := Quantile(vals, 1); q != 5 {
-		t.Fatalf("q1 = %v, want 5", q)
-	}
-	if q := Quantile(vals, 0.25); q != 2 {
-		t.Fatalf("q25 = %v, want 2", q)
-	}
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
-	}
+// quantileCases is the Quantile truth table; FuzzQuantile seeds from it.
+var quantileCases = []struct {
+	name string
+	vals []float64
+	q    float64
+	want float64
+}{
+	{"median", []float64{1, 2, 3, 4, 5}, 0.5, 3},
+	{"q0", []float64{1, 2, 3, 4, 5}, 0, 1},
+	{"q1", []float64{1, 2, 3, 4, 5}, 1, 5},
+	{"q25", []float64{1, 2, 3, 4, 5}, 0.25, 2},
+	{"empty", nil, 0.5, 0},
 	// Out-of-range q clamps.
-	if q := Quantile(vals, 2); q != 5 {
-		t.Fatalf("q clamp high = %v", q)
-	}
-	if q := Quantile(vals, -1); q != 1 {
-		t.Fatalf("q clamp low = %v", q)
+	{"clamp high", []float64{1, 2, 3, 4, 5}, 2, 5},
+	{"clamp low", []float64{1, 2, 3, 4, 5}, -1, 1},
+}
+
+func TestQuantile(t *testing.T) {
+	for _, c := range quantileCases {
+		if got := Quantile(c.vals, c.q); got != c.want {
+			t.Fatalf("%s: Quantile(%v, %v) = %v, want %v", c.name, c.vals, c.q, got, c.want)
+		}
 	}
 }
 
