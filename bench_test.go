@@ -73,7 +73,7 @@ func benchServingProfile() Profile {
 }
 
 // BenchmarkServeRequest measures System.Serve with co-located training on
-// (DefaultOptions). Besides the serving path — memory-model accesses, DLRM
+// (the default options). Besides the serving path — memory-model accesses, DLRM
 // forward, ring-buffer push, latency tracking — every TrainInterval-th
 // request runs a train tick (mini-batch forward, frozen-dense backward, LoRA
 // SGD step, periodic rank adaptation) followed by the scheduling
@@ -81,7 +81,7 @@ func benchServingProfile() Profile {
 // time; BenchmarkServeRequestNoAlloc isolates the forward.
 func BenchmarkServeRequest(b *testing.B) {
 	p := benchServingProfile()
-	sys, err := New(DefaultOptions(p, 1))
+	sys, err := New(WithProfile(p), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func BenchmarkServeRequest(b *testing.B) {
 // alloc-gate step fails the build if allocs/op ever reads above 0.
 func BenchmarkServeRequestNoAlloc(b *testing.B) {
 	p := benchServingProfile()
-	srv, err := New(DefaultOptions(p, 1))
+	srv, err := New(WithProfile(p), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,10 +31,10 @@
 //     individually (holding only that replica's lock for the O(rows)
 //     export), runs the priority merge on a background goroutine with the
 //     simulated AllGather cost charged to the sync clock, and publishes the
-//     merged state per replica through epoch-versioned atomic pointer swaps
-//     (lora.Set.Publish). ServeShard never blocks on a periodic sync in
-//     async mode; manual SyncNow and ReplicasConsistent remain explicit
-//     barriers in both modes.
+//     epoch-stamped merged state per replica, under that replica's write
+//     lock only (core.System.PublishLoRA). ServeShard never blocks on a
+//     periodic sync in async mode; manual SyncNow and ReplicasConsistent
+//     remain explicit barriers in both modes.
 //   - Membership reads are lock-free: the serve path loads the current
 //     fleet.View through an atomic pointer (under the fleet read lock, so a
 //     request never straddles a membership commit). Membership mutations
@@ -84,7 +84,7 @@ type SyncMode string
 
 const (
 	// SyncAsync (the default) runs the versioned, double-buffered pipeline:
-	// snapshot → background merge → atomic per-replica publish. Serving
+	// snapshot → background merge → per-replica publish. Serving
 	// never blocks on a fleet-wide lock during a periodic sync.
 	SyncAsync SyncMode = "async"
 	// SyncBarrier is the legacy stop-the-world protocol: every periodic
@@ -409,21 +409,10 @@ func (c *Cluster) NumShards() int { return c.fleet.View().NumSlots() }
 func (c *Cluster) ShardOf(s trace.Sample) int {
 	t0 := c.tracer.StageStart(obs.StageRoute)
 	defer c.tracer.StageEnd(obs.StageRoute, t0)
-	v := c.fleet.View()
-	if vr, ok := c.router.(fleet.ViewRouter); ok {
-		if m := vr.RouteView(s, v); m != nil {
-			return m.Slot
-		}
-		return -1
+	if m := c.router.RouteView(s, c.fleet.View()); m != nil {
+		return m.Slot
 	}
-	// Legacy router: it sees the active systems as a flat slice; its index
-	// maps back to the member's slot.
-	active := v.Active()
-	i := c.router.Route(s, v.ActiveSystems())
-	if i < 0 || i >= len(active) {
-		return -1 // surfaces as a routing error in ServeShard
-	}
-	return active[i].Slot
+	return -1 // surfaces as a routing error in ServeShard
 }
 
 // Serve routes one request to a replica and serves it there (including that
@@ -845,8 +834,8 @@ func (p *syncPipeline) drain() error {
 //     the simulated AllGather pricing run on a background goroutine
 //     (collective.AsyncSyncGroup), with the cost charged to the sync clock,
 //     not to any serving clock;
-//  3. publish — the merged state is installed per member through
-//     epoch-versioned atomic pointer swaps.
+//  3. publish — the epoch-stamped merged state is installed per member,
+//     each under its own write lock (PublishLoRA).
 //
 // No step takes the fleet-wide write lock, so serving proceeds throughout.
 // The whole epoch holds syncMu: membership mutations are excluded for its
@@ -869,7 +858,7 @@ func (c *Cluster) syncEpochAsync() error {
 		return err
 	}
 	// The publish stall is the install span: each member briefly holds its
-	// node lock while the merged state swaps in.
+	// write lock while the merged state is installed.
 	t0 := c.tracer.StageStart(obs.StageSyncPublish)
 	for _, m := range members {
 		m.Sys.PublishLoRA(merged, epoch)
@@ -914,11 +903,11 @@ func (c *Cluster) SyncNow() (collective.MergeStats, error) {
 	return c.syncLocked()
 }
 
-// lockMembers freezes every given member's node mutex (slot order, no
-// cycles: nothing holds one replica's mutex while waiting on another's), so
-// fleet-wide mutations honor core.System's concurrency contract even for
-// callers driving a replica directly via Replica(i). Callers must hold
-// fleetMu for write.
+// lockMembers freezes every given member with core.System.Lock (slot order,
+// no cycles: nothing holds one replica's locks while waiting on another's),
+// so fleet-wide mutations follow the adapter lock rule even for callers
+// driving a replica directly via Replica(i). Callers must hold fleetMu for
+// write.
 func lockMembers(members []*fleet.Member) {
 	for _, m := range members {
 		m.Sys.Lock()

@@ -987,3 +987,63 @@ func TestServeBatchValidatesSlots(t *testing.T) {
 		t.Fatalf("empty batch must be a no-op, got %v", err)
 	}
 }
+
+// TestBarrierSyncWithDirectReplicaServing: a caller serving straight through
+// Replica(i) — bypassing the fleet lock — runs while barrier-mode SyncNow
+// publishes merged state into that replica. The publish must hold the
+// replica's parameter write lock (the adapter lock rule), which the race
+// detector checks, and the fleet must still converge. Rank/prune passes are
+// pushed out of the run: pruning evicts synced rows a replica has not
+// trained lately, which diverges replicas independently of the lock rule.
+func TestBarrierSyncWithDirectReplicaServing(t *testing.T) {
+	cfg := testConfig(t, 3)
+	cfg.Mode = SyncBarrier
+	cfg.Base.LoRA.AdaptInterval = 1 << 20
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.MustNewGenerator(testProfile(t), 31)
+	for i := 0; i < 60; i++ {
+		if _, err := c.Serve(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct := gen.Batch(200, 1)
+	rep := c.Replica(1)
+	done := make(chan error, 1)
+	go func() {
+		for _, s := range direct {
+			if _, err := rep.Serve(s); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 10; i++ {
+		if _, err := c.SyncNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range gen.Batch(20, 1) {
+		if _, err := rep.Serve(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.ReplicasConsistent(50) {
+		t.Fatal("direct training on one replica must diverge the fleet before the final sync")
+	}
+	if _, err := c.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.ReplicasConsistent(50) {
+		t.Fatal("replicas must agree after the final barrier sync")
+	}
+	if got := c.Stats().Served; got != 280 {
+		t.Fatalf("served %d, want 280", got)
+	}
+}

@@ -13,7 +13,7 @@ import (
 func TestAllGatherRounds(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 8: 3, 9: 4, 16: 4, 48: 6}
 	for n, want := range cases {
-		if got := AllGatherRounds(n); got != want {
+		if got := (Flat{}).Rounds(n); got != want {
 			t.Fatalf("rounds(%d) = %d, want %d", n, got, want)
 		}
 	}
@@ -23,13 +23,14 @@ func TestAllGatherTimeLogScaling(t *testing.T) {
 	// Latency-dominated regime: time grows like log2(N) (paper Fig 19).
 	const bw = 1e12
 	const lat = 0.01
-	t2 := AllGatherTime(2, 1000, bw, lat)
-	t16 := AllGatherTime(16, 1000, bw, lat)
+	flat := Flat{}
+	t2 := flat.GatherTime(2, 1000, 0, bw, lat)
+	t16 := flat.GatherTime(16, 1000, 0, bw, lat)
 	ratio := t16 / t2
 	if math.Abs(ratio-4) > 0.1 { // log2(16)/log2(2) = 4
 		t.Fatalf("latency scaling ratio %v, want ~4", ratio)
 	}
-	if AllGatherTime(1, 1000, bw, lat) != 0 {
+	if flat.GatherTime(1, 1000, 0, bw, lat) != 0 {
 		t.Fatal("single node needs no communication")
 	}
 }
@@ -38,7 +39,7 @@ func TestAllGatherTimeBytesScaling(t *testing.T) {
 	// Bandwidth-dominated: total bytes moved per node ≈ (n-1)·payload, so
 	// time ≈ (n-1)·payload/bw.
 	const bw = 1e6
-	got := AllGatherTime(8, 1000, bw, 0)
+	got := (Flat{}).GatherTime(8, 1000, 0, bw, 0)
 	want := float64(7*1000) / bw
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("bytes scaling time %v, want %v", got, want)
@@ -46,34 +47,14 @@ func TestAllGatherTimeBytesScaling(t *testing.T) {
 }
 
 func TestBroadcastTime(t *testing.T) {
-	if BroadcastTime(1, 1000, 1e6, 0.01) != 0 {
+	flat := Flat{}
+	if flat.BroadcastTime(1, 1000, 1e6, 0.01) != 0 {
 		t.Fatal("single-node broadcast is free")
 	}
-	got := BroadcastTime(8, 1000, 1e6, 0.01)
+	got := flat.BroadcastTime(8, 1000, 1e6, 0.01)
 	want := 3 * (0.01 + 1000/1e6)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("broadcast time %v, want %v", got, want)
-	}
-}
-
-func TestAllGatherOnNetwork(t *testing.T) {
-	c := simnet.NewClock()
-	net := simnet.NewNetwork(4, 1e6, 0.001)
-	elapsed := AllGatherOnNetwork(c, net, 1000)
-	if elapsed <= 0 {
-		t.Fatal("allgather must take time")
-	}
-	if c.Now() != elapsed {
-		t.Fatal("clock must advance to completion")
-	}
-	// 2 rounds for n=4, payload doubles: round sizes 1000 then 2000.
-	if net.TotalBytesMoved() != 4*1000+4*2000 {
-		t.Fatalf("bytes moved %d", net.TotalBytesMoved())
-	}
-	// Single node: free.
-	c2 := simnet.NewClock()
-	if AllGatherOnNetwork(c2, simnet.NewNetwork(1, 1e6, 0.001), 1000) != 0 {
-		t.Fatal("single-node network allgather must be free")
 	}
 }
 
@@ -276,10 +257,10 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 		t.Fatalf("Stats() = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", syncs, bytes, wantPayload)
 	}
 	gs := sg.GroupStats()
-	wantWire := AllGatherBytes(4, maxPayload) + BroadcastBytes(4, lora.PayloadBytes(merged))
-	if gs.WireBytes != wantWire {
-		t.Fatalf("WireBytes = %d, want %d (allgather %d + broadcast %d)",
-			gs.WireBytes, wantWire, AllGatherBytes(4, maxPayload), BroadcastBytes(4, lora.PayloadBytes(merged)))
+	// n=4: 2 gather rounds ship 4·(1+2)·maxPayload; the broadcast 3 copies.
+	gather, bcast := 12*maxPayload, 3*lora.PayloadBytes(merged)
+	if wantWire := gather + bcast; gs.WireBytes != wantWire {
+		t.Fatalf("WireBytes = %d, want %d (allgather %d + broadcast %d)", gs.WireBytes, wantWire, gather, bcast)
 	}
 	if gs.WireBytes <= gs.PayloadBytes {
 		t.Fatal("simulated wire traffic must exceed the application payload for 4 replicas")
@@ -300,16 +281,22 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 }
 
 func TestAllGatherAndBroadcastBytes(t *testing.T) {
-	if AllGatherBytes(1, 1000) != 0 || BroadcastBytes(1, 1000) != 0 {
+	flat := Flat{}
+	if flat.GatherBytes(1, 1000, 0) != 0 || flat.BroadcastBytes(1, 1000) != 0 {
 		t.Fatal("single node moves nothing")
 	}
-	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total; matches
-	// the traffic AllGatherOnNetwork actually generates (see its test).
-	if got := AllGatherBytes(4, 1000); got != 12000 {
-		t.Fatalf("AllGatherBytes(4, 1000) = %d, want 12000", got)
+	// n=4: 2 rounds, per-node blocks 1000 then 2000 → 4·3000 total, the
+	// traffic a recursive-doubling exchange over point-to-point links moves.
+	if got := flat.GatherBytes(4, 1000, 0); got != 12000 {
+		t.Fatalf("Flat.GatherBytes(4, 1000) = %d, want 12000", got)
 	}
-	if got := BroadcastBytes(8, 1000); got != 7000 {
-		t.Fatalf("BroadcastBytes(8, 1000) = %d, want 7000", got)
+	if got := flat.BroadcastBytes(8, 1000); got != 7000 {
+		t.Fatalf("Flat.BroadcastBytes(8, 1000) = %d, want 7000", got)
+	}
+	// A recursive-doubling exchange takes time: 2 rounds of latency plus the
+	// doubling 1000- then 2000-byte blocks.
+	if got, want := flat.GatherTime(4, 1000, 0, 1e6, 0.001), 2*0.001+3000/1e6; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Flat.GatherTime(4, 1000) = %v, want %v", got, want)
 	}
 }
 

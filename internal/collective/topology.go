@@ -107,8 +107,7 @@ func hopPayload(perRank, merged int64) int64 {
 // Flat is the original cost model: recursive-doubling AllGather (every rank
 // ends up holding every rank's raw payload — the accumulated block doubles
 // each round, so the fleet-wide traffic is n·(2^rounds−1)·perRank) plus a
-// binomial-tree broadcast of the merged state. The deprecated free functions
-// (AllGatherTime etc.) delegate here bit-for-bit.
+// binomial-tree broadcast of the merged state.
 type Flat struct{}
 
 // Kind implements Topology.

@@ -10,27 +10,37 @@ import (
 	"liveupdate/internal/tensor"
 )
 
-// TestFlatMatchesDeprecatedCostModel pins the deprecated free functions to
-// Flat: they are wrappers, so every number they ever produced must come back
-// bit-identical through the Topology interface.
+// TestFlatMatchesDeprecatedCostModel pins Flat to the closed forms of the
+// free-function cost model it replaced: ⌈log2 n⌉ rounds, n·(2^rounds−1)·
+// payload gather bytes, (n−1)·payload broadcast bytes, a gather round paying
+// latency plus its doubling block, and a broadcast round latency plus the
+// whole payload.
 func TestFlatMatchesDeprecatedCostModel(t *testing.T) {
 	flat := Flat{}
 	const bw, lat = 12.5e9, 350e-9
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 16, 48, 256} {
+	rounds := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 7: 3, 8: 3, 9: 4, 16: 4, 48: 6, 256: 8}
+	for n, r := range rounds {
 		for _, payload := range []int64{0, 1, 1000, 1 << 20} {
-			if got, want := flat.Rounds(n), AllGatherRounds(n); got != want {
-				t.Fatalf("Flat.Rounds(%d) = %d, want %d", n, got, want)
+			if got := flat.Rounds(n); got != r {
+				t.Fatalf("Flat.Rounds(%d) = %d, want %d", n, got, r)
 			}
-			if got, want := flat.GatherTime(n, payload, 0, bw, lat), AllGatherTime(n, payload, bw, lat); got != want {
-				t.Fatalf("Flat.GatherTime(%d, %d) = %v, want %v", n, payload, got, want)
+			wantGather, wantBcast := 0.0, 0.0
+			block := float64(payload)
+			for i := 0; i < r; i++ {
+				wantGather += lat + block/bw
+				wantBcast += lat + float64(payload)/bw
+				block *= 2
 			}
-			if got, want := flat.GatherBytes(n, payload, 0), AllGatherBytes(n, payload); got != want {
+			if got := flat.GatherTime(n, payload, 0, bw, lat); math.Abs(got-wantGather) > 1e-15 {
+				t.Fatalf("Flat.GatherTime(%d, %d) = %v, want %v", n, payload, got, wantGather)
+			}
+			if got, want := flat.GatherBytes(n, payload, 0), int64(n)*(1<<r-1)*payload; got != want {
 				t.Fatalf("Flat.GatherBytes(%d, %d) = %d, want %d", n, payload, got, want)
 			}
-			if got, want := flat.BroadcastTime(n, payload, bw, lat), BroadcastTime(n, payload, bw, lat); got != want {
-				t.Fatalf("Flat.BroadcastTime(%d, %d) = %v, want %v", n, payload, got, want)
+			if got := flat.BroadcastTime(n, payload, bw, lat); math.Abs(got-wantBcast) > 1e-15 {
+				t.Fatalf("Flat.BroadcastTime(%d, %d) = %v, want %v", n, payload, got, wantBcast)
 			}
-			if got, want := flat.BroadcastBytes(n, payload), BroadcastBytes(n, payload); got != want {
+			if got, want := flat.BroadcastBytes(n, payload), int64(n-1)*payload; got != want {
 				t.Fatalf("Flat.BroadcastBytes(%d, %d) = %d, want %d", n, payload, got, want)
 			}
 		}
@@ -84,7 +94,7 @@ func TestTopologyCostShapes(t *testing.T) {
 		t.Fatalf("Ring.GatherBytes = %d, want %d", got, 7*merged)
 	}
 	// Flat's gather is oblivious to the merged size and strictly larger.
-	if flat := (Flat{}).GatherBytes(8, per, merged); flat != AllGatherBytes(8, per) || flat <= 7*per {
+	if flat := (Flat{}).GatherBytes(8, per, merged); flat != 56*per || flat <= 7*per {
 		t.Fatalf("Flat.GatherBytes = %d", flat)
 	}
 	// Latency shape: tree pays rounds hops, ring pays n-1 hops.

@@ -115,21 +115,21 @@ func (o Options) Validate() error {
 // A System is safe for concurrent use, with the serve hot path split across
 // two locks:
 //
-//   - The DLRM forward (serving.Node.Predict) runs OUTSIDE the node mutex: it
-//     is read-only — adapter state is read through its copy-on-write atomic
-//     publishes (see internal/lora), embedding access counters are atomic —
-//     and allocation-free (a pooled forward scratch per in-flight request).
-//     It holds only a read lock on paramMu, the rarely-written parameter
-//     lock, so forwards never block behind another request's bookkeeping, a
-//     Stats snapshot, or an in-flight fleet merge.
+//   - The DLRM forward (serving.Node.Predict) runs OUTSIDE the node mutex,
+//     holding only a read lock on paramMu, the rarely-written parameter
+//     lock. It reads no bookkeeping, embedding access counters are atomic,
+//     and it is allocation-free (a pooled forward scratch per in-flight
+//     request), so forwards never block behind another request's
+//     bookkeeping or a Stats snapshot.
 //   - The mutation tail (memory-model charges, ring push, latency/SLA
 //     tracking, clock advance, the train-tick trigger) serializes on the node
 //     mutex, preserving the single-server virtual-clock model: per-node tail
 //     order alone determines every virtual-time statistic, so the lock split
 //     leaves them bit-identical to the historical fully-locked path.
-//   - paramMu is held for write only by in-place parameter mutations — the
-//     co-located training tick and FullSync's base/dense overwrite. Fleet
-//     publishes (PublishLoRA) stay copy-on-write and never block forwards.
+//   - Every parameter write holds the node mutex and paramMu for write: the
+//     co-located training tick, a fleet publish (PublishLoRA, or Lock around
+//     a direct LoRA.Publish) and FullSync's base/dense overwrite. This is the
+//     adapter lock rule stated in the internal/lora package comment.
 //
 // Lock order: mu before paramMu; the forward takes only paramMu (read).
 // The exported fields are wiring for experiments and tests; touching them
@@ -160,10 +160,10 @@ type System struct {
 	// (plus ZeroGrad) reference and compare the outcomes.
 	trainBackward func(m *dlrm.Model, dLogit float64, cache *dlrm.ForwardCache) [][]float64
 
-	// paramMu excludes lock-free forwards (read) from in-place parameter
-	// writes (write): the LoRA training step mutates the current adapter
-	// state directly and FullSync overwrites base tables and dense weights.
-	// It is uncontended on the hot path — a read lock costs one atomic op.
+	// paramMu excludes forwards (read) from in-place parameter writes
+	// (write): the training tick and a publish mutate adapter state directly,
+	// and FullSync overwrites base tables and dense weights. It is
+	// uncontended on the hot path — a read lock costs one atomic op.
 	paramMu sync.RWMutex
 
 	// Telemetry instruments (nil when Options.Telemetry is nil; the nil
@@ -355,8 +355,8 @@ type EndpointStats struct {
 
 // Serve processes one request through the serving path, interleaving
 // co-located training ticks per the configured cadence. It returns the
-// prediction and request latency; the only error is a sample whose sparse
-// feature count does not match the profile.
+// prediction and request latency; the only error is a sample whose shape
+// does not match the profile (see checkSample).
 //
 // The forward runs before and outside the node mutex (see the System comment
 // for the lock split); only the bookkeeping tail and the training trigger
@@ -364,9 +364,8 @@ type EndpointStats struct {
 // node is unchanged, every virtual-time statistic is bit-identical to the
 // historical fully-locked implementation.
 func (s *System) Serve(sample trace.Sample) (Response, error) {
-	if len(sample.Sparse) != s.Opts.Profile.NumTables {
-		return Response{}, fmt.Errorf("core: sample has %d sparse fields, profile %q expects %d",
-			len(sample.Sparse), s.Opts.Profile.Name, s.Opts.Profile.NumTables)
+	if err := s.checkSample(sample); err != nil {
+		return Response{}, err
 	}
 	s.paramMu.RLock()
 	prob := s.Node.Predict(sample)
@@ -379,6 +378,30 @@ func (s *System) Serve(sample trace.Sample) (Response, error) {
 	s.tracer.StageEnd(obs.StageCommit, t0)
 	s.observeServe(latency)
 	return Response{Prob: prob, Latency: latency}, nil
+}
+
+// checkSample reports a sample whose shape does not match the profile: the
+// sparse table count, every sparse id in [0, TableSize), and the dense
+// width. Serve and ServeBatch run it before taking any lock, so a hostile
+// sample is an error rather than a panic inside a critical section.
+func (s *System) checkSample(sample trace.Sample) error {
+	p := &s.Opts.Profile
+	if len(sample.Sparse) != p.NumTables {
+		return fmt.Errorf("core: sample has %d sparse fields, profile %q expects %d",
+			len(sample.Sparse), p.Name, p.NumTables)
+	}
+	if len(sample.Dense) != p.NumDense {
+		return fmt.Errorf("core: sample has %d dense features, profile %q expects %d",
+			len(sample.Dense), p.Name, p.NumDense)
+	}
+	for t, ids := range sample.Sparse {
+		for _, id := range ids {
+			if id < 0 || int(id) >= p.TableSize {
+				return fmt.Errorf("core: sparse id %d in table %d outside [0, %d)", id, t, p.TableSize)
+			}
+		}
+	}
+	return nil
 }
 
 // observeServe feeds one committed request's already-computed virtual
@@ -412,9 +435,8 @@ func (s *System) ServeBatch(samples []trace.Sample, resps []Response) error {
 		return fmt.Errorf("core: ServeBatch got %d response slots for %d samples", len(resps), len(samples))
 	}
 	for i := range samples {
-		if len(samples[i].Sparse) != s.Opts.Profile.NumTables {
-			return fmt.Errorf("core: sample %d has %d sparse fields, profile %q expects %d",
-				i, len(samples[i].Sparse), s.Opts.Profile.Name, s.Opts.Profile.NumTables)
+		if err := s.checkSample(samples[i]); err != nil {
+			return fmt.Errorf("core: sample %d: %w", i, err)
 		}
 	}
 	if len(samples) == 0 {
@@ -497,16 +519,23 @@ func (s *System) Stats() Stats {
 	}
 }
 
-// Lock acquires the node's serve mutex; Unlock releases it. They exist so
-// fleet-level operations (the Cluster's priority-merge sync, consistency
-// probes) can freeze a replica while touching its adapter state directly,
-// keeping the concurrency contract intact even for callers that drive a
+// Lock acquires the node mutex and then paramMu for write — the write side
+// of the adapter lock rule; Unlock releases both. They exist so fleet-level
+// operations (the Cluster's barrier sync, a joiner's catch-up export,
+// consistency probes) can freeze a replica, forwards included, while
+// touching its adapter state directly, even for callers that drive a
 // replica obtained via Cluster.Replica. Application code should not need
 // them.
-func (s *System) Lock() { s.mu.Lock() }
+func (s *System) Lock() {
+	s.mu.Lock()
+	s.paramMu.Lock()
+}
 
-// Unlock releases the mutex acquired by Lock.
-func (s *System) Unlock() { s.mu.Unlock() }
+// Unlock releases the locks acquired by Lock.
+func (s *System) Unlock() {
+	s.paramMu.Unlock()
+	s.mu.Unlock()
+}
 
 // LatencyWindow returns a copy of the node's retained latency samples — the
 // raw material for fleet-wide quantile merging — under the node lock.
@@ -538,12 +567,12 @@ func (s *System) LoRARank() int {
 	return s.LoRA.Adapters[0].Rank()
 }
 
-// SnapshotLoRA freezes the replica just long enough to export its modified
+// SnapshotLoRA holds the node mutex just long enough to export its modified
 // adapter rows (clearing the supports, so training that lands while a merge
-// is in flight feeds the next sync epoch) and returns the copy-on-write
+// is in flight feeds the next sync epoch) and returns the deep-copied
 // snapshot. This is the per-replica gather step of the asynchronous update
 // pipeline: the node lock is held only for the O(modified rows) export,
-// never across the merge itself.
+// never across the merge itself, and forwards keep running.
 func (s *System) SnapshotLoRA() []lora.TableState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,14 +580,13 @@ func (s *System) SnapshotLoRA() []lora.TableState {
 }
 
 // PublishLoRA installs a merged adapter state stamped with the publisher's
-// epoch. Each table swaps in atomically (copy-on-write), so the node lock is
-// held only for the O(rows) install — the per-replica publish step of the
-// asynchronous update pipeline. Serve calls in flight on OTHER replicas are
-// unaffected; a concurrent Serve on this replica waits only for the install,
-// not for the merge that produced it.
+// epoch, in place under Lock — the per-replica publish step of the
+// asynchronous update pipeline. Serve calls on OTHER replicas are
+// unaffected; a concurrent Serve on this replica waits only for the O(rows)
+// install, not for the merge that produced it.
 func (s *System) PublishLoRA(state []lora.TableState, epoch int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Lock()
+	defer s.Unlock()
 	s.LoRA.Publish(state, epoch)
 }
 
@@ -569,10 +597,9 @@ func (s *System) PublishLoRA(state []lora.TableState, epoch int64) {
 func (s *System) AdapterEpoch() int64 { return s.LoRA.Epoch() }
 
 // AdapterVersion returns the node's last published adapter Version (nil
-// before the first sync), lock-free. The returned value is immutable: Serve
-// and the trainer read the same tables through the adapters' own atomic
-// state, so a caller can inspect a consistent published snapshot while the
-// node keeps serving.
+// before the first sync), lock-free. The returned value is immutable
+// (adapters copy its rows on install), so a caller can inspect a consistent
+// published snapshot while the node keeps serving and training.
 func (s *System) AdapterVersion() *lora.Version { return s.LoRA.Published() }
 
 // TrainTick runs one co-located training step: a mini-batch sampled from the
@@ -587,7 +614,7 @@ func (s *System) TrainTick() {
 
 // trainTick is TrainTick's body; callers must hold s.mu. It takes the
 // parameter write lock for its whole span: the LoRA SGD step mutates adapter
-// state in place, which must not interleave with a lock-free forward. The
+// state in place, which must not interleave with a forward. The
 // mini-batch buffer and the forward cache are reused across ticks and
 // samples, keeping the tick's steady-state allocation footprint low (the
 // train-tick share of BenchmarkServeRequest's B/op).
@@ -650,14 +677,10 @@ func (s *System) TrainSteps() uint64 {
 // FullSync installs fresh base weights and dense parameters from a training
 // cluster (the hourly mid-term tier of Fig 8) and resets the adapters.
 func (s *System) FullSync(freshBase *emt.Group, freshModel *dlrm.Model) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Overwriting base tables and dense weights in place must exclude
-	// lock-free forwards; adapter reset is copy-on-write but joins the same
-	// critical section so a forward never mixes fresh weights with stale
-	// adapters.
-	s.paramMu.Lock()
-	defer s.paramMu.Unlock()
+	// Base tables, dense weights and adapters change in one critical
+	// section, so a forward never mixes fresh weights with stale adapters.
+	s.Lock()
+	defer s.Unlock()
 	s.Base.CopyWeightsFrom(freshBase)
 	s.Model.CopyWeightsFrom(freshModel)
 	s.LoRA.ResetAdapters()

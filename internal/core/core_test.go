@@ -2,7 +2,9 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"liveupdate/internal/dlrm"
 	"liveupdate/internal/emt"
@@ -418,5 +420,134 @@ func TestFrozenTrainTickMatchesAccumulatingReference(t *testing.T) {
 			t.Fatalf("table %d: adaptations %d/%d, pruned %d/%d", i,
 				a.Adaptations(), b.Adaptations(), a.PrunedTotal(), b.PrunedTotal())
 		}
+	}
+}
+
+// TestServeRejectsHostileSample: a sample whose shape does not match the
+// profile — an id past the table, a negative id, a short dense vector — is
+// an error from Serve and ServeBatch, never a panic inside a critical
+// section, and the node keeps serving (and training) afterwards.
+func TestServeRejectsHostileSample(t *testing.T) {
+	s := MustNew(testOptions())
+	gen := trace.MustNewGenerator(testProfile(), 12)
+	withIDs := func(x trace.Sample, ids []int32) trace.Sample {
+		x.Sparse = append([][]int32(nil), x.Sparse...)
+		x.Sparse[1] = ids
+		return x
+	}
+	hostile := []struct {
+		name   string
+		mutate func(trace.Sample) trace.Sample
+	}{
+		{"out-of-range id", func(x trace.Sample) trace.Sample { return withIDs(x, []int32{1 << 30}) }},
+		{"id at table size", func(x trace.Sample) trace.Sample { return withIDs(x, []int32{300}) }},
+		{"negative id", func(x trace.Sample) trace.Sample { return withIDs(x, []int32{0, -1}) }},
+		{"short dense", func(x trace.Sample) trace.Sample { x.Dense = x.Dense[:len(x.Dense)-1]; return x }},
+	}
+	for _, h := range hostile {
+		bad := h.mutate(gen.Next())
+		if _, err := s.Serve(bad); err == nil {
+			t.Fatalf("%s: Serve must reject the sample", h.name)
+		}
+		if err := s.ServeBatch([]trace.Sample{gen.Next(), bad}, make([]Response, 2)); err == nil {
+			t.Fatalf("%s: ServeBatch must reject the batch", h.name)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 300; i++ {
+			if _, err := s.Serve(gen.Next()); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("node wedged after hostile samples")
+	}
+	if st := s.Stats(); st.Served != 300 || st.TrainSteps == 0 {
+		t.Fatalf("after hostile samples: served %d, train steps %d; want 300 served and training", st.Served, st.TrainSteps)
+	}
+}
+
+// TestLockRuleConcurrentWriters exercises the adapter lock rule under the
+// race detector: forwards (Serve, ServeBatch) run while another goroutine
+// publishes merged state, runs train ticks and installs full syncs — every
+// write holding the node mutex and the parameter write lock.
+func TestLockRuleConcurrentWriters(t *testing.T) {
+	s := MustNew(testOptions())
+	gen := trace.MustNewGenerator(testProfile(), 13)
+	for i := 0; i < 40; i++ {
+		if _, err := s.Serve(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	donor := MustNew(testOptions())
+	for i := 0; i < 40; i++ {
+		donor.Serve(gen.Next())
+	}
+	state := donor.SnapshotLoRA()
+	rng := tensor.NewRNG(77)
+	freshModel := dlrm.MustNewModel(dlrm.ConfigForProfile(testProfile()), rng)
+	freshBase := emt.NewGroup(3, 300, 16, rng)
+
+	const servers, perServer, batch = 3, 60, 4
+	samples := make([][]trace.Sample, servers)
+	for g := range samples {
+		samples[g] = gen.Batch(perServer, 1)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, servers)
+	for g := 0; g < servers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			mine := samples[g]
+			if g == 0 { // one batched lane
+				resps := make([]Response, batch)
+				for i := 0; i < len(mine); i += batch {
+					if err := s.ServeBatch(mine[i:i+batch], resps); err != nil {
+						errs <- err
+						return
+					}
+				}
+				return
+			}
+			for _, x := range mine {
+				if _, err := s.Serve(x); err != nil {
+					errs <- err
+					return
+				}
+				_ = s.AdapterEpoch()
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			s.PublishLoRA(state, int64(i))
+			s.TrainTick()
+			if i%10 == 9 {
+				s.FullSync(freshBase, freshModel)
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, want := s.Stats().Served, uint64(40+servers*perServer); got != want {
+		t.Fatalf("served %d, want %d", got, want)
+	}
+	if s.AdapterEpoch() != 29 || s.FullSyncs() != 3 {
+		t.Fatalf("epoch %d, full syncs %d; want 29 and 3", s.AdapterEpoch(), s.FullSyncs())
 	}
 }

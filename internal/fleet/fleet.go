@@ -31,8 +31,8 @@
 // its full LoRA adapter state travels as a lora snapshot that the joiner
 // installs with Publish at the donor's epoch. Both transfers are billed to
 // the virtual sync clock at the configured link parameters, like any other
-// sync traffic. Only the donor's per-replica lock is held during the
-// export — the fleet keeps serving.
+// sync traffic. Only the donor's own locks are held during the export — the
+// rest of the fleet keeps serving.
 package fleet
 
 import (
@@ -350,7 +350,8 @@ func (c *Controller) donorLocked() *Member { return c.donorExcludingLocked(nil) 
 
 // catchUp transfers the donor's base checkpoint and full LoRA state into
 // sys, bills the virtual sync clock, and reports the transfer. Only the
-// donor's per-replica lock is held, and only for the O(state) export.
+// donor's locks (core.System.Lock) are held, and only for the O(state)
+// export.
 func (c *Controller) catchUp(donor *Member, sys *core.System) (CatchUp, error) {
 	var buf bytes.Buffer
 	donor.Sys.Lock()
@@ -370,6 +371,8 @@ func (c *Controller) catchUp(donor *Member, sys *core.System) (CatchUp, error) {
 	if err != nil {
 		return CatchUp{}, fmt.Errorf("fleet: restore checkpoint: %w", err)
 	}
+	// sys is not in any View yet, so nothing serves or trains on it: the
+	// install needs no lock. It lands before the member enters the view.
 	sys.Base.CopyWeightsFrom(restored)
 	sys.LoRA.Publish(full, epoch)
 	cu := CatchUp{

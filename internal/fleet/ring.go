@@ -75,17 +75,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// ViewRouter is the membership-aware routing surface: policies that
-// implement it route against the live View (and so keep working across
-// joins, leaves, and failures without any router rebuild — the View carries
-// the prebuilt ring and active list). The cluster's built-in policies all
-// implement it; legacy routers that only know a flat replica slice are
-// adapted by the cluster instead.
-type ViewRouter interface {
-	// RouteView picks the serving member for s from v's active members.
-	RouteView(s trace.Sample, v *View) *Member
-}
-
 // SampleKey hashes a request's sparse feature ids (FNV-1a over (table, id)
 // pairs) to its ring key: identical sparse feature sets always map to the
 // same key, giving the embedding locality the hash routing policy exists for.

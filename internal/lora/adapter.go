@@ -4,28 +4,30 @@
 // usage-based table pruning (Algorithm 1) — plus merge/export primitives for
 // the cross-node sync protocol (Algorithm 3).
 //
-// # Concurrency model
+// # Concurrency
 //
-// An Adapter keeps its published factors (rank, A rows, shared B) behind one
-// atomic pointer to an immutable-by-readers state record. Two classes of
-// callers exist:
+// An Adapter, and the Set that groups them, is not safe for concurrent use.
+// Its core.System owns it and serializes every access with two locks, the
+// node mutex mu and the parameter lock paramMu:
 //
-//   - The owner (the training/serving loop, serialized by core.System's
-//     mutex) may call anything. Train mutates the current state in place —
-//     it is NOT safe concurrently with readers.
-//   - The publish path — ApplyRows, SetB, Resize, Reset, and Set.Publish —
-//     builds a fresh state copy and swaps the pointer in one atomic store.
-//     Lock-free readers (Lookup, Accumulate, Delta, Has, EffectiveRow,
-//     ExportSupport's row reads) therefore observe either the old or the new
-//     state, never a torn mix, and never block on an in-flight merge. This is
-//     the copy-on-write half of the asynchronous update pipeline.
+//   - forwards (Lookup, Accumulate, Has, HasHot, EffectiveRow) hold paramMu
+//     for read;
+//   - every write holds mu and paramMu for write: the train tick (Train with
+//     its rank adaptation, pruning and Resize), a fleet publish (ApplyRows,
+//     SetB, ApplyState, Publish) and the FullSync reset;
+//   - owner reads (Snapshot, ExportState, ExportFull, SizeBytes for Stats)
+//     hold mu; so does Snapshot's support reset, since forwards never read
+//     the support set.
+//
+// Writers therefore mutate adapter state in place. The one lock-free read is
+// Set.Published/Epoch: the published Version is an immutable record behind
+// an atomic pointer, so freshness probes never wait for the node.
 package lora
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"liveupdate/internal/tensor"
 )
@@ -94,24 +96,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// adapterState is the published factor state: the LoRA rank, the shared
-// dense factor B (rank×dim), and the sparse A rows for active ids. Publish
-// operations replace the whole record behind the Adapter's atomic pointer;
-// readers load it once per call and see a consistent snapshot.
-type adapterState struct {
+// Adapter is the LoRA table for one embedding table: sparse rows A[i] ∈ R^k
+// for active indices plus a shared dense factor B ∈ R^{k×d}. See the package
+// comment for the lock rule its owner follows.
+type Adapter struct {
+	cfg  Config
 	rank int
 	b    *tensor.Matrix      // rank×dim
 	rows map[int32][]float64 // A rows for active ids
-}
 
-// Adapter is the LoRA table for one embedding table: sparse rows A[i] ∈ R^k
-// for active indices plus a shared dense factor B ∈ R^{k×d}. See the package
-// comment for which operations are safe without the owner's serialization.
-type Adapter struct {
-	cfg Config
-	cur atomic.Pointer[adapterState]
-
-	// Owner-only bookkeeping (training statistics, adaptation windows).
+	// Training statistics and adaptation windows (never read by forwards).
 	freq map[int32]int      // per-id update count in the current window
 	supp map[int32]struct{} // ids updated since last ResetSupport (Alg. 3)
 
@@ -145,19 +139,16 @@ func NewAdapter(cfg Config) (*Adapter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Adapter{
+	return &Adapter{
 		cfg:     cfg,
+		rank:    cfg.InitialRank,
+		b:       tensor.NewMatrix(cfg.InitialRank, cfg.Dim),
+		rows:    make(map[int32][]float64),
 		freq:    make(map[int32]int),
 		supp:    make(map[int32]struct{}),
 		gradBuf: tensor.NewMatrix(cfg.GradWindow, cfg.Dim),
 		rng:     tensor.NewRNG(cfg.Seed ^ 0x10ad0ada),
-	}
-	a.cur.Store(&adapterState{
-		rank: cfg.InitialRank,
-		b:    tensor.NewMatrix(cfg.InitialRank, cfg.Dim),
-		rows: make(map[int32][]float64),
-	})
-	return a, nil
+	}, nil
 }
 
 // MustNewAdapter panics on config errors; for tests and examples.
@@ -170,15 +161,15 @@ func MustNewAdapter(cfg Config) *Adapter {
 }
 
 // Rank returns the current LoRA rank k.
-func (a *Adapter) Rank() int { return a.cur.Load().rank }
+func (a *Adapter) Rank() int { return a.rank }
 
 // ActiveCount returns the number of ids holding a LoRA row.
-func (a *Adapter) ActiveCount() int { return len(a.cur.Load().rows) }
+func (a *Adapter) ActiveCount() int { return len(a.rows) }
 
 // Has reports whether id has a LoRA row — the serving path's Hot Index
 // Filter check (paper Fig 7 step 2).
 func (a *Adapter) Has(id int32) bool {
-	_, ok := a.cur.Load().rows[id]
+	_, ok := a.rows[id]
 	return ok
 }
 
@@ -194,8 +185,7 @@ func (a *Adapter) Delta(id int32, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	st := a.cur.Load()
-	row, ok := st.rows[id]
+	row, ok := a.rows[id]
 	if !ok {
 		return
 	}
@@ -203,14 +193,13 @@ func (a *Adapter) Delta(id int32, dst []float64) {
 		if av == 0 {
 			continue
 		}
-		tensor.Axpy(av, st.b.Row(k), dst)
+		tensor.Axpy(av, a.b.Row(k), dst)
 	}
 }
 
 // Accumulate adds the id's LoRA delta scaled by alpha into dst.
 func (a *Adapter) Accumulate(id int32, alpha float64, dst []float64) {
-	st := a.cur.Load()
-	row, ok := st.rows[id]
+	row, ok := a.rows[id]
 	if !ok {
 		return
 	}
@@ -218,7 +207,7 @@ func (a *Adapter) Accumulate(id int32, alpha float64, dst []float64) {
 		if av == 0 {
 			continue
 		}
-		tensor.Axpy(alpha*av, st.b.Row(k), dst)
+		tensor.Axpy(alpha*av, a.b.Row(k), dst)
 	}
 }
 
@@ -226,8 +215,7 @@ func (a *Adapter) Accumulate(id int32, alpha float64, dst []float64) {
 // of dlrm.Model.Backward) and performs one SGD step at rate lr on A and B,
 // with the base weights frozen (paper §IV-A, step 1 of the update path).
 // Ids without a row are allocated one (zero-initialized) if capacity allows.
-// Train mutates the current state in place and is owner-only: it must be
-// serialized with every other call on this adapter.
+// Train is a write (see the package comment).
 func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	if len(ids) == 0 {
 		return
@@ -236,7 +224,6 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 		panic(fmt.Sprintf("lora: grad len %d != dim %d", len(grad), a.cfg.Dim))
 	}
 	a.recordGrad(grad)
-	st := a.cur.Load()
 	invPool := 1 / float64(len(ids))
 
 	// The A-row gradient dA[i] = (grad/pool)·Bᵀ does not depend on i (B only
@@ -245,32 +232,32 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	// pre-update A coefficients Σ_i A[i][k], which folds the dense dB matrix
 	// into one Axpy per rank — the B update touches only the mini-batch's
 	// contribution, SPMM-style, with no rank×dim accumulator to zero.
-	if len(a.daScratch) < st.rank {
-		a.daScratch = make([]float64, st.rank)
-		a.coefScratch = make([]float64, st.rank)
+	if len(a.daScratch) < a.rank {
+		a.daScratch = make([]float64, a.rank)
+		a.coefScratch = make([]float64, a.rank)
 	}
-	da := a.daScratch[:st.rank]
-	coef := a.coefScratch[:st.rank]
-	for k := 0; k < st.rank; k++ {
-		da[k] = lr * invPool * tensor.Dot(grad, st.b.Row(k))
+	da := a.daScratch[:a.rank]
+	coef := a.coefScratch[:a.rank]
+	for k := 0; k < a.rank; k++ {
+		da[k] = lr * invPool * tensor.Dot(grad, a.b.Row(k))
 		coef[k] = 0
 	}
 	for _, id := range ids {
-		row := a.ensureRow(st, id)
+		row := a.ensureRow(id)
 		if row == nil {
 			continue // table at capacity; skip cold id
 		}
 		a.freq[id]++
 		a.supp[id] = struct{}{}
-		for k := 0; k < st.rank; k++ {
+		for k := 0; k < a.rank; k++ {
 			coef[k] += row[k] // pre-update value, as dB sees it
 			row[k] -= da[k]
 		}
 	}
-	for k := 0; k < st.rank; k++ {
+	for k := 0; k < a.rank; k++ {
 		// dB[k] = coef[k] · grad/pool; apply the SGD step directly.
 		if coef[k] != 0 {
-			tensor.Axpy(-lr*coef[k]*invPool, grad, st.b.Row(k))
+			tensor.Axpy(-lr*coef[k]*invPool, grad, a.b.Row(k))
 		}
 	}
 
@@ -280,22 +267,22 @@ func (a *Adapter) Train(ids []int32, grad []float64, lr float64) {
 	}
 }
 
-// ensureRow returns the A row for id in st, allocating a randomly initialized
-// row when capacity allows; it returns nil when the table is full and id is
-// not resident. Random A with zero B keeps ∆W = 0 until training moves B.
-func (a *Adapter) ensureRow(st *adapterState, id int32) []float64 {
-	if row, ok := st.rows[id]; ok {
+// ensureRow returns the A row for id, allocating a randomly initialized row
+// when capacity allows; it returns nil when the table is full and id is not
+// resident. Random A with zero B keeps ∆W = 0 until training moves B.
+func (a *Adapter) ensureRow(id int32) []float64 {
+	if row, ok := a.rows[id]; ok {
 		return row
 	}
-	if len(st.rows) >= a.cfg.CMax {
+	if len(a.rows) >= a.cfg.CMax {
 		return nil
 	}
-	row := make([]float64, st.rank)
-	scale := 1 / math.Sqrt(float64(st.rank))
+	row := make([]float64, a.rank)
+	scale := 1 / math.Sqrt(float64(a.rank))
 	for k := range row {
 		row[k] = a.rng.NormFloat64() * scale
 	}
-	st.rows[id] = row
+	a.rows[id] = row
 	return row
 }
 
@@ -334,21 +321,21 @@ func (a *Adapter) adapt() {
 	}
 
 	// --- Usage-based pruning (Alg. 1 line 5-10) ---
-	st := a.cur.Load()
-	active := make([]int32, 0, len(st.rows))
-	for id := range st.rows {
+	// Rows updated fewer than τ_prune times this window are evicted, and if
+	// more than CMax stay active the least frequently updated go too
+	// (Alg. 1 clamps the kept count to [CMin, CMax]; raising it to CMin
+	// evicts nothing). Evictions delete in place: the map keeps its
+	// capacity, so the next window's new rows do not re-grow it.
+	active := make([]int32, 0, len(a.rows))
+	for id := range a.rows {
 		if a.freq[id] >= a.cfg.PruneThresh {
 			active = append(active, id)
+		} else {
+			delete(a.rows, id)
+			a.pruned++
 		}
 	}
-	target := len(active)
-	if target < a.cfg.CMin {
-		target = a.cfg.CMin
-	}
-	if target > a.cfg.CMax {
-		target = a.cfg.CMax
-	}
-	if len(active) > target {
+	if len(active) > a.cfg.CMax {
 		// Keep the most frequently updated ids.
 		sort.Slice(active, func(i, j int) bool {
 			if a.freq[active[i]] != a.freq[active[j]] {
@@ -356,15 +343,8 @@ func (a *Adapter) adapt() {
 			}
 			return active[i] < active[j]
 		})
-		active = active[:target]
-	}
-	keep := make(map[int32]struct{}, len(active))
-	for _, id := range active {
-		keep[id] = struct{}{}
-	}
-	for id := range st.rows {
-		if _, ok := keep[id]; !ok {
-			delete(st.rows, id)
+		for _, id := range active[a.cfg.CMax:] {
+			delete(a.rows, id)
 			a.pruned++
 		}
 	}
@@ -375,63 +355,52 @@ func (a *Adapter) adapt() {
 // Resize changes the LoRA rank to r. Shrinking re-projects the current ∆W
 // onto the best rank-r subspace via truncated SVD (Eckart–Young), so learned
 // information is preserved as well as any rank-r factorization can; growing
-// zero-pads, leaving ∆W bit-identical. The resized factors are installed by
-// one atomic swap (publish-path operation).
+// zero-pads, leaving ∆W bit-identical.
 func (a *Adapter) Resize(r int) {
-	st := a.cur.Load()
-	if r == st.rank {
-		return
-	}
 	if r < a.cfg.MinRank {
 		r = a.cfg.MinRank
 	}
 	if r > a.cfg.MaxRank {
 		r = a.cfg.MaxRank
 	}
-	if r == st.rank {
+	if r == a.rank {
 		return
 	}
-	if r > st.rank {
+	if r > a.rank {
 		// Grow: zero B rows keep ∆W identical; the new A coordinates are
 		// randomly initialized so gradients flow into the added capacity.
 		// Rows draw from the RNG in id order (not map order), so a seeded
 		// adapter grows reproducibly.
 		newB := tensor.NewMatrix(r, a.cfg.Dim)
-		copy(newB.Data, st.b.Data)
+		copy(newB.Data, a.b.Data)
 		scale := 1 / math.Sqrt(float64(r))
-		rows := make(map[int32][]float64, len(st.rows))
-		for _, id := range sortedIDs(st.rows) {
-			row := st.rows[id]
+		for _, id := range sortedIDs(a.rows) {
+			row := a.rows[id]
 			nr := make([]float64, r)
 			copy(nr, row)
 			for k := len(row); k < r; k++ {
 				nr[k] = a.rng.NormFloat64() * scale
 			}
-			rows[id] = nr
+			a.rows[id] = nr
 		}
-		a.cur.Store(&adapterState{rank: r, b: newB, rows: rows})
+		a.rank, a.b = r, newB
 		return
 	}
 	// Shrink: factor the realized ∆W of the active rows.
-	if len(st.rows) == 0 {
-		a.cur.Store(&adapterState{
-			rank: r,
-			b:    tensor.NewMatrix(r, a.cfg.Dim),
-			rows: make(map[int32][]float64),
-		})
+	if len(a.rows) == 0 {
+		a.rank, a.b = r, tensor.NewMatrix(r, a.cfg.Dim)
 		return
 	}
-	ids := sortedIDs(st.rows)
+	ids := sortedIDs(a.rows)
 	delta := tensor.NewMatrix(len(ids), a.cfg.Dim)
 	for i, id := range ids {
 		a.Delta(id, delta.Row(i))
 	}
 	left, right := tensor.TruncatedSVD(delta, r)
-	rows := make(map[int32][]float64, len(ids))
 	for i, id := range ids {
-		rows[id] = append([]float64(nil), left.Row(i)...)
+		a.rows[id] = append([]float64(nil), left.Row(i)...)
 	}
-	a.cur.Store(&adapterState{rank: r, b: right, rows: rows})
+	a.rank, a.b = r, right
 }
 
 // sortedIDs returns the ids of rows in ascending order.
@@ -446,8 +415,7 @@ func sortedIDs(rows map[int32][]float64) []int32 {
 
 // SizeBytes returns the adapter's parameter footprint: active A rows plus B.
 func (a *Adapter) SizeBytes() int64 {
-	st := a.cur.Load()
-	return int64(len(st.rows))*int64(st.rank)*8 + int64(st.rank)*int64(a.cfg.Dim)*8
+	return int64(len(a.rows))*int64(a.rank)*8 + int64(a.rank)*int64(a.cfg.Dim)*8
 }
 
 // RowUpdate carries one modified A row for synchronization (Algorithm 3).
@@ -461,10 +429,9 @@ type RowUpdate struct {
 // rows are deep copies, so the export stays valid (and immutable) while the
 // adapter keeps training.
 func (a *Adapter) ExportSupport() []RowUpdate {
-	st := a.cur.Load()
 	out := make([]RowUpdate, 0, len(a.supp))
 	for id := range a.supp {
-		row, ok := st.rows[id]
+		row, ok := a.rows[id]
 		if !ok {
 			continue // pruned since modification
 		}
@@ -478,9 +445,8 @@ func (a *Adapter) ExportSupport() []RowUpdate {
 // support — as deep copies in id order: the full-state payload a joining
 // replica restores during fleet catch-up. The support set is untouched.
 func (a *Adapter) ExportAllRows() []RowUpdate {
-	st := a.cur.Load()
-	out := make([]RowUpdate, 0, len(st.rows))
-	for id, row := range st.rows {
+	out := make([]RowUpdate, 0, len(a.rows))
+	for id, row := range a.rows {
 		out = append(out, RowUpdate{ID: id, Row: append([]float64(nil), row...)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -493,89 +459,51 @@ func (a *Adapter) SupportSize() int { return len(a.supp) }
 // ResetSupport clears the modification tracker (end of a sync cycle).
 func (a *Adapter) ResetSupport() { a.supp = make(map[int32]struct{}) }
 
-// ApplyRows installs remote A rows (receiving side of a sync). Rows whose
-// length differs from the current rank are adapted: truncated or zero-padded.
-// Applied rows do not enter the local support set (they are foreign state).
-// The update is copy-on-write: a fresh row map is built and swapped in one
-// atomic store, so concurrent lock-free readers never see a torn state.
+// ApplyRows installs remote A rows (receiving side of a sync) in place. Rows
+// whose length differs from the current rank are adapted: truncated or
+// zero-padded. Applied rows do not enter the local support set (they are
+// foreign state).
 func (a *Adapter) ApplyRows(updates []RowUpdate) {
-	st := a.cur.Load()
-	a.cur.Store(&adapterState{
-		rank: st.rank,
-		b:    st.b,
-		rows: rowsWithUpdates(st, updates),
-	})
-}
-
-// rowsWithUpdates clones st's row map and installs updates at st's rank.
-func rowsWithUpdates(st *adapterState, updates []RowUpdate) map[int32][]float64 {
-	rows := make(map[int32][]float64, len(st.rows)+len(updates))
-	for id, row := range st.rows {
-		rows[id] = row
-	}
 	for _, u := range updates {
-		row := make([]float64, st.rank)
-		copy(row, u.Row) // copies min(len) — truncation/padding implicit
-		rows[u.ID] = row
+		row, ok := a.rows[u.ID]
+		if !ok {
+			row = make([]float64, a.rank)
+			a.rows[u.ID] = row
+		}
+		n := copy(row, u.Row) // copies min(len) — truncation/padding implicit
+		clear(row[n:])
 	}
-	return rows
 }
 
 // SetB overwrites the shared factor B from a synced copy. The incoming
 // matrix is rank'×d; rank mismatches are adapted by truncate/zero-pad.
-// Copy-on-write: the new B is installed by one atomic swap.
 func (a *Adapter) SetB(b *tensor.Matrix) {
-	st := a.cur.Load()
-	a.cur.Store(&adapterState{
-		rank: st.rank,
-		b:    adaptedB(st.rank, a.cfg.Dim, b),
-		rows: st.rows,
-	})
+	if b.Cols != a.cfg.Dim {
+		panic(fmt.Sprintf("lora: SetB dim %d != %d", b.Cols, a.cfg.Dim))
+	}
+	n := copy(a.b.Data, b.Data)
+	clear(a.b.Data[n:])
 }
 
-// adaptedB copies b into a rank×dim matrix, truncating or zero-padding rows.
-func adaptedB(rank, dim int, b *tensor.Matrix) *tensor.Matrix {
-	if b.Cols != dim {
-		panic(fmt.Sprintf("lora: SetB dim %d != %d", b.Cols, dim))
-	}
-	nb := tensor.NewMatrix(rank, dim)
-	n := rank
-	if b.Rows < n {
-		n = b.Rows
-	}
-	copy(nb.Data, b.Data[:n*dim])
-	return nb
-}
-
-// applyState installs one merged TableState (rows plus shared B) in a single
-// atomic swap — the per-adapter publish step of the versioned sync pipeline.
-// A nil B keeps the current factor.
+// applyState installs one merged TableState (rows plus shared B) — the
+// per-adapter publish step of the versioned sync pipeline. A nil B keeps the
+// current factor.
 func (a *Adapter) applyState(ts TableState) {
-	st := a.cur.Load()
-	b := st.b
 	if ts.B != nil {
-		b = adaptedB(st.rank, a.cfg.Dim, ts.B)
+		a.SetB(ts.B)
 	}
-	a.cur.Store(&adapterState{
-		rank: st.rank,
-		b:    b,
-		rows: rowsWithUpdates(st, ts.Rows),
-	})
+	a.ApplyRows(ts.Rows)
 }
 
 // B returns a copy of the shared factor for synchronization.
-func (a *Adapter) B() *tensor.Matrix { return a.cur.Load().b.Clone() }
+func (a *Adapter) B() *tensor.Matrix { return a.b.Clone() }
 
 // Reset clears all LoRA state (after a full-parameter sync folds fresh base
 // weights in, the adapter starts from ∆W = 0 again — paper Fig 8's hourly
 // full-update starting points).
 func (a *Adapter) Reset() {
-	rank := a.cur.Load().rank
-	a.cur.Store(&adapterState{
-		rank: rank,
-		b:    tensor.NewMatrix(rank, a.cfg.Dim),
-		rows: make(map[int32][]float64),
-	})
+	a.b = tensor.NewMatrix(a.rank, a.cfg.Dim)
+	a.rows = make(map[int32][]float64)
 	a.freq = make(map[int32]int)
 	a.supp = make(map[int32]struct{})
 	a.gradCount = 0

@@ -12,12 +12,10 @@ import (
 // implements dlrm.EmbeddingSource: lookups serve W_base + A·B, training
 // gradients flow only into the adapters (paper Fig 7).
 //
-// For synchronization the Set carries epoch-versioned, copy-on-write state:
-// Snapshot exports the modified rows for an in-flight merge, Publish installs
-// a merged state per adapter with atomic pointer swaps and stamps the epoch.
-// Readers (Lookup, EffectiveRow, HasHot) never block on a merge — they are
-// safe concurrently with the whole publish path; only Train requires the
-// owner's serialization (see the package comment on Adapter).
+// For synchronization the Set carries epoch-versioned state: Snapshot
+// exports the modified rows for an in-flight merge, Publish installs a merged
+// state in every adapter and stamps the epoch. The package comment gives the
+// lock rule for each call.
 type Set struct {
 	Base     *emt.Group
 	Adapters []*Adapter
@@ -128,7 +126,7 @@ func (s *Set) MergeIntoBase() {
 	delta := make([]float64, s.Dim())
 	for ti, a := range s.Adapters {
 		t := s.Base.Tables[ti]
-		for id := range a.cur.Load().rows {
+		for id := range a.rows {
 			a.Delta(id, delta)
 			t.ApplyRowDelta(id, delta)
 		}
@@ -185,7 +183,7 @@ func (s *Set) ExportState() []TableState {
 // with Publish: unlike Snapshot it carries rows from every past sync epoch,
 // so the joiner matches a veteran's accumulated state, and it does NOT
 // clear the supports (the exporter keeps participating in its next sync
-// normally). Owner-only, like Snapshot.
+// normally). An owner read, like Snapshot.
 func (s *Set) ExportFull() []TableState {
 	out := make([]TableState, len(s.Adapters))
 	for i, a := range s.Adapters {
@@ -194,10 +192,8 @@ func (s *Set) ExportFull() []TableState {
 	return out
 }
 
-// ApplyState installs a synced snapshot (winner of the priority merge). Each
-// adapter swaps in its new rows and B factor with one atomic store, so
-// concurrent lock-free readers see either the pre- or post-sync state of a
-// table, never a torn mix.
+// ApplyState installs a synced snapshot (winner of the priority merge): each
+// adapter takes its new rows and B factor in place.
 func (s *Set) ApplyState(states []TableState) {
 	if len(states) != len(s.Adapters) {
 		panic(fmt.Sprintf("lora: ApplyState %d states for %d adapters", len(states), len(s.Adapters)))
@@ -208,22 +204,19 @@ func (s *Set) ApplyState(states []TableState) {
 }
 
 // Snapshot exports every adapter's modified-row support plus shared factors
-// and clears the supports — the copy-on-write payload for one epoch of the
+// and clears the supports — the deep-copied payload for one epoch of the
 // asynchronous sync pipeline. Clearing at snapshot time (rather than after
 // the merge lands) means training that arrives while the merge is in flight
-// feeds the NEXT epoch instead of being silently dropped. Owner-only: callers
-// must hold the replica's serialization while snapshotting.
+// feeds the NEXT epoch instead of being silently dropped. An owner read.
 func (s *Set) Snapshot() []TableState {
 	st := s.ExportState()
 	s.ResetSupports()
 	return st
 }
 
-// Publish atomically installs a merged state and stamps it with the
-// publisher's epoch. The state is applied per adapter via copy-on-write
-// pointer swaps and then recorded as the Set's published Version, so
-// lock-free readers can observe both the data and the epoch it belongs to
-// without blocking on the merge that produced it.
+// Publish installs a merged state and stamps it with the publisher's epoch:
+// the state is applied to every adapter, then recorded as the Set's
+// published Version, which freshness probes read lock-free.
 func (s *Set) Publish(states []TableState, epoch int64) {
 	s.ApplyState(states)
 	s.published.Store(&Version{Epoch: epoch, Tables: states})

@@ -290,7 +290,9 @@ func (g *Gateway) WireStats() []core.EndpointStats {
 
 // admit runs the admission gate for one wire request on an endpoint. It
 // returns false after writing the 429 when the request is shed; on true the
-// caller MUST call the returned release func when serving finishes.
+// caller MUST call the returned release func when serving finishes — with
+// defer, so a panicking serve cannot leak the slot. Release frees the slot
+// and marks the request completed.
 func (g *Gateway) admit(w http.ResponseWriter, ep *epMetrics) (release func(), ok bool) {
 	// The queue-wait span brackets only an actual stay in the queue: the
 	// onQueued hook (run under the gate lock, cost: one atomic add and a
@@ -319,6 +321,7 @@ func (g *Gateway) admit(w http.ResponseWriter, ep *epMetrics) (release func(), o
 	return func() {
 		ep.inflight.Add(-1)
 		g.gate.leave(time.Since(start))
+		ep.completed.Add(1)
 	}, true
 }
 
@@ -342,9 +345,10 @@ func (g *Gateway) handleServe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := g.inner.Serve(sample)
-	release()
-	ep.completed.Add(1)
+	resp, err := func() (core.Response, error) {
+		defer release()
+		return g.inner.Serve(sample)
+	}()
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -371,17 +375,19 @@ func (g *Gateway) handleServeBin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resps := make([]core.Response, len(samples))
-	if g.batch != nil {
-		err = g.batch.ServeBatch(samples, resps)
-	} else {
+	err = func() error {
+		defer release()
+		if g.batch != nil {
+			return g.batch.ServeBatch(samples, resps)
+		}
 		for i := range samples {
+			var err error
 			if resps[i], err = g.inner.Serve(samples[i]); err != nil {
-				break
+				return err
 			}
 		}
-	}
-	release()
-	ep.completed.Add(1)
+		return nil
+	}()
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return

@@ -547,3 +547,58 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("/metrics without explicit telemetry: %s", resp.Status)
 	}
 }
+
+// TestHostileSampleOverWireFreesSlot: a sample with an out-of-range sparse
+// id, sent over either wire path to a real node behind one admission slot,
+// is a 422 — not a handler panic — the slot comes back so the next request
+// succeeds, and the ledger reconciles.
+func TestHostileSampleOverWireFreesSlot(t *testing.T) {
+	p := trace.Profiles()["criteo"]
+	p.NumTables, p.TableSize, p.NumDense, p.MultiHot = 3, 300, 4, []int{1, 1, 1}
+	sys, err := core.New(core.DefaultOptions(p, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newTestGateway(t, sys, Config{MaxInflight: 1, QueueDepth: 1})
+	base := "http://" + g.Addr().String()
+	client := &http.Client{Timeout: 10 * time.Second}
+	post := func(path, ctype string, body []byte) int {
+		t.Helper()
+		resp, err := client.Post(base+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	gen := trace.MustNewGenerator(p, 5)
+	good := gen.Next()
+	bad := gen.Next()
+	bad.Sparse = [][]int32{bad.Sparse[0], {1 << 30}, bad.Sparse[2]}
+
+	badJSON, _ := json.Marshal(bad)
+	goodJSON, _ := json.Marshal(good)
+	steps := []struct {
+		path, ctype string
+		body        []byte
+		want        int
+	}{
+		{"/serve", "application/json", badJSON, http.StatusUnprocessableEntity},
+		{"/serve", "application/json", goodJSON, http.StatusOK},
+		{"/serve.bin", "application/octet-stream", AppendBatch(nil, []trace.Sample{good, bad}), http.StatusUnprocessableEntity},
+		{"/serve.bin", "application/octet-stream", AppendBatch(nil, []trace.Sample{good}), http.StatusOK},
+	}
+	for i, s := range steps {
+		if got := post(s.path, s.ctype, s.body); got != s.want {
+			t.Fatalf("step %d (%s): status %d, want %d", i, s.path, got, s.want)
+		}
+	}
+	for _, ep := range g.WireStats() {
+		if ep.Accepted != 2 || ep.Completed != ep.Accepted || ep.Inflight != 0 || ep.Shed != 0 {
+			t.Fatalf("%s ledger %+v, want 2 accepted and completed, none inflight or shed", ep.Endpoint, ep)
+		}
+	}
+	if got := sys.Stats().Served; got != 2 {
+		t.Fatalf("node served %d, want the 2 good requests", got)
+	}
+}

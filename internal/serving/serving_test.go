@@ -36,6 +36,13 @@ func newTestNode(t *testing.T) (*Node, *trace.Generator) {
 	return node, trace.MustNewGenerator(p, 2)
 }
 
+// serve scores and commits one request — Predict then Commit, the way
+// core.System drives a Node.
+func serve(n *Node, s trace.Sample) (prob, latency float64) {
+	prob = n.Predict(s)
+	return prob, n.Commit(s)
+}
+
 func TestRingBufferBasics(t *testing.T) {
 	r := NewRingBuffer(3)
 	if r.Len() != 0 || r.Total() != 0 {
@@ -142,7 +149,7 @@ func TestServeReturnsLatencyAndAdvancesClock(t *testing.T) {
 	node, gen := newTestNode(t)
 	before := node.Clock.Now()
 	s := gen.Next()
-	prob, lat := node.Serve(s)
+	prob, lat := serve(node, s)
 	if prob <= 0 || prob >= 1 {
 		t.Fatalf("prob %v", prob)
 	}
@@ -164,10 +171,10 @@ func TestServeWarmLatencyDropsAndP99(t *testing.T) {
 	node, gen := newTestNode(t)
 	// Serve the same sample repeatedly: after the first, rows are cached.
 	s := gen.Next()
-	_, cold := node.Serve(s)
+	_, cold := serve(node, s)
 	var warm float64
 	for i := 0; i < 50; i++ {
-		_, warm = node.Serve(s)
+		_, warm = serve(node, s)
 	}
 	if warm >= cold {
 		t.Fatalf("warm latency %v should be below cold %v", warm, cold)
@@ -181,7 +188,7 @@ func TestViolationTracking(t *testing.T) {
 	node, gen := newTestNode(t)
 	node.Cfg.SLA = 1e-9 // everything violates
 	for i := 0; i < 10; i++ {
-		node.Serve(gen.Next())
+		serve(node, gen.Next())
 	}
 	if node.ViolationRate() != 1 {
 		t.Fatalf("violation rate %v, want 1", node.ViolationRate())
@@ -194,15 +201,23 @@ func TestViolationTracking(t *testing.T) {
 
 func TestServeBatch(t *testing.T) {
 	node, gen := newTestNode(t)
-	mean := node.ServeBatch(gen.Batch(20, 1))
-	if mean <= 0 {
-		t.Fatalf("mean latency %v", mean)
+	batch := gen.Batch(20, 1)
+	probs := make([]float64, len(batch))
+	node.PredictBatch(batch, probs)
+	for i, s := range batch {
+		if probs[i] <= 0 || probs[i] >= 1 {
+			t.Fatalf("prob %d = %v", i, probs[i])
+		}
+		if lat := node.Commit(s); lat <= 0 {
+			t.Fatalf("latency %v", lat)
+		}
 	}
 	if node.Served() != 20 {
 		t.Fatalf("served %d", node.Served())
 	}
-	if node.ServeBatch(nil) != 0 {
-		t.Fatal("empty batch mean must be 0")
+	node.PredictBatch(nil, nil) // an empty batch is a no-op
+	if node.Served() != 20 {
+		t.Fatal("empty batch must not serve")
 	}
 }
 
@@ -211,11 +226,11 @@ func TestHotRowsServedFromCache(t *testing.T) {
 	// Zipf skew means the hot set gets cached quickly: after a warmup the
 	// inference hit ratio should be substantial (paper Fig 12 → Fig 11 link).
 	for i := 0; i < 300; i++ {
-		node.Serve(gen.Next())
+		serve(node, gen.Next())
 	}
 	node.Machine.ResetStats()
 	for i := 0; i < 300; i++ {
-		node.Serve(gen.Next())
+		serve(node, gen.Next())
 	}
 	if hr := node.Machine.HitRatio(numasim.Inference); hr < 0.3 {
 		t.Fatalf("steady-state hit ratio %v too low for Zipf traffic", hr)
@@ -224,20 +239,21 @@ func TestHotRowsServedFromCache(t *testing.T) {
 
 // --- Serving fast path ---
 
-// TestServeEqualsPredictPlusCommit: the split serving path is exactly the
-// composed one — same probability, same latency, same bookkeeping — so the
-// lock-split System can call the halves separately without changing any
+// TestServeEqualsPredictPlusCommit: the two halves of the serving path are
+// independent — scoring a request before or after committing it gives the
+// same probability, and the bookkeeping is the same either way — so the
+// lock-split System can run them under different locks without changing any
 // virtual-time statistic.
 func TestServeEqualsPredictPlusCommit(t *testing.T) {
 	a, genA := newTestNode(t)
 	b, genB := newTestNode(t)
 	for i := 0; i < 300; i++ {
 		sa, sb := genA.Next(), genB.Next()
-		probA, latA := a.Serve(sa)
-		probB := b.Predict(sb)
+		probA, latA := serve(a, sa)
 		latB := b.Commit(sb)
+		probB := b.Predict(sb)
 		if probA != probB || latA != latB {
-			t.Fatalf("req %d: Serve (%v, %v) != Predict+Commit (%v, %v)", i, probA, latA, probB, latB)
+			t.Fatalf("req %d: Predict+Commit (%v, %v) != Commit+Predict (%v, %v)", i, probA, latA, probB, latB)
 		}
 	}
 	if a.Served() != b.Served() || a.Violations() != b.Violations() ||
@@ -248,32 +264,29 @@ func TestServeEqualsPredictPlusCommit(t *testing.T) {
 	}
 }
 
-// TestServeBatchMatchesServeLoop: the amortized batch path must produce
-// bit-identical virtual-time state to a plain loop over Serve.
+// TestServeBatchMatchesServeLoop: scoring a batch through PredictBatch and
+// then committing it must give bit-identical probabilities and virtual-time
+// state to a per-request Predict+Commit loop.
 func TestServeBatchMatchesServeLoop(t *testing.T) {
 	a, genA := newTestNode(t)
 	b, genB := newTestNode(t)
 	batch := make([]trace.Sample, 64)
-	loopTotal := 0.0
 	for i := range batch {
 		batch[i] = genA.Next()
 		genB.Next() // keep generators aligned (samples are identical streams)
 	}
-	for _, s := range batch {
-		_, l := a.Serve(s)
-		loopTotal += l
-	}
-	mean := b.ServeBatch(batch)
-	if want := loopTotal / float64(len(batch)); mean != want {
-		t.Fatalf("batch mean latency %v, want %v", mean, want)
+	probs := make([]float64, len(batch))
+	b.PredictBatch(batch, probs)
+	for i, s := range batch {
+		probA, latA := serve(a, s)
+		if latB := b.Commit(s); probA != probs[i] || latA != latB {
+			t.Fatalf("req %d: loop (%v, %v) != batch (%v, %v)", i, probA, latA, probs[i], latB)
+		}
 	}
 	if a.Served() != b.Served() || a.Clock.Now() != b.Clock.Now() ||
 		a.Violations() != b.Violations() || a.P99() != b.P99() {
 		t.Fatalf("batch bookkeeping diverged: served %d/%d clock %v/%v",
 			a.Served(), b.Served(), a.Clock.Now(), b.Clock.Now())
-	}
-	if b.ServeBatch(nil) != 0 {
-		t.Fatal("empty batch must report 0 mean latency")
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package simnet is the discrete-event substrate for all paper-scale cost
-// experiments: a deterministic virtual clock, bandwidth/latency-modeled
-// links with FIFO queueing, and the versioned sharded parameter server of
-// the production architecture (paper Fig 2). "26 minutes to sync 20 TB over
-// 100 GbE" is computed on the virtual timeline, never waited for.
+// experiments: a deterministic virtual clock and bandwidth/latency-modeled
+// links with FIFO queueing. "26 minutes to sync 20 TB over 100 GbE" is
+// computed on the virtual timeline, never waited for.
 package simnet
 
 import (
@@ -138,128 +137,3 @@ func (l *Link) Utilization(c *Clock) float64 {
 
 // BusyUntil returns the absolute time the link's queue drains.
 func (l *Link) BusyUntil() float64 { return l.busyUntil }
-
-// Network is a set of nodes fully connected by uniform point-to-point links,
-// modelling the inference cluster's interconnect (paper §V-A: 100 Gbps).
-type Network struct {
-	N     int
-	links map[[2]int]*Link
-
-	bandwidthBps float64
-	latencySec   float64
-}
-
-// NewNetwork builds an n-node network of identical links.
-func NewNetwork(n int, bandwidthBps, latencySec float64) *Network {
-	if n <= 0 {
-		panic("simnet: network needs at least one node")
-	}
-	return &Network{
-		N:            n,
-		links:        make(map[[2]int]*Link),
-		bandwidthBps: bandwidthBps,
-		latencySec:   latencySec,
-	}
-}
-
-// LinkBetween returns the (lazily created) link between nodes a and b.
-// Links are symmetric: (a,b) and (b,a) share one queue.
-func (n *Network) LinkBetween(a, b int) *Link {
-	if a < 0 || a >= n.N || b < 0 || b >= n.N || a == b {
-		panic(fmt.Sprintf("simnet: invalid link endpoints %d,%d", a, b))
-	}
-	if a > b {
-		a, b = b, a
-	}
-	key := [2]int{a, b}
-	l, ok := n.links[key]
-	if !ok {
-		l = NewLink(n.bandwidthBps, n.latencySec)
-		n.links[key] = l
-	}
-	return l
-}
-
-// Send transfers size bytes from a to b starting at the clock time and
-// returns the absolute completion time (the clock is not advanced: callers
-// compose concurrent sends and then AdvanceTo the max).
-func (n *Network) Send(c *Clock, a, b int, size int64) float64 {
-	return n.LinkBetween(a, b).Transfer(c, size)
-}
-
-// TotalBytesMoved sums payload across all instantiated links.
-func (n *Network) TotalBytesMoved() int64 {
-	var total int64
-	for _, l := range n.links {
-		total += l.BytesMoved()
-	}
-	return total
-}
-
-// ShardKey identifies a parameter shard by table name.
-type ShardKey struct {
-	Table string
-	Shard int
-}
-
-// ParameterServer is the central versioned KV store of the decoupled
-// architecture (paper Fig 2): training pushes deltas, inference pulls them.
-// It accounts bytes and versions; payload contents live with the caller.
-type ParameterServer struct {
-	Shards int
-
-	versions    map[ShardKey]uint64
-	storedBytes map[ShardKey]int64
-	pushes      int
-	pulls       int
-}
-
-// NewParameterServer builds a server with the given shard count.
-func NewParameterServer(shards int) *ParameterServer {
-	if shards <= 0 {
-		panic("simnet: parameter server needs at least one shard")
-	}
-	return &ParameterServer{
-		Shards:      shards,
-		versions:    make(map[ShardKey]uint64),
-		storedBytes: make(map[ShardKey]int64),
-	}
-}
-
-// ShardFor maps a table/row to a shard by simple hashing.
-func (ps *ParameterServer) ShardFor(table string, row int32) ShardKey {
-	h := uint32(2166136261)
-	for _, b := range []byte(table) {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	h ^= uint32(row)
-	h *= 16777619
-	return ShardKey{Table: table, Shard: int(h % uint32(ps.Shards))}
-}
-
-// Push records a delta of size bytes into the shard over link, returning the
-// absolute completion time. The shard version increments.
-func (ps *ParameterServer) Push(c *Clock, link *Link, key ShardKey, size int64) float64 {
-	done := link.Transfer(c, size)
-	ps.versions[key]++
-	ps.storedBytes[key] += size
-	ps.pushes++
-	return done
-}
-
-// Pull fetches size bytes from the shard over link, returning the absolute
-// completion time and the shard's version.
-func (ps *ParameterServer) Pull(c *Clock, link *Link, key ShardKey, size int64) (float64, uint64) {
-	done := link.Transfer(c, size)
-	ps.pulls++
-	return done, ps.versions[key]
-}
-
-// Version returns the current version of key.
-func (ps *ParameterServer) Version(key ShardKey) uint64 { return ps.versions[key] }
-
-// Stats returns cumulative push/pull counts.
-func (ps *ParameterServer) Stats() (pushes, pulls int) { return ps.pushes, ps.pulls }
-
-// StoredBytes returns bytes accumulated in the shard.
-func (ps *ParameterServer) StoredBytes(key ShardKey) int64 { return ps.storedBytes[key] }

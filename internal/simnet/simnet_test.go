@@ -121,81 +121,6 @@ func TestLinkValidation(t *testing.T) {
 	}
 }
 
-func TestNetworkSymmetricLinks(t *testing.T) {
-	n := NewNetwork(4, 1000, 0)
-	l1 := n.LinkBetween(1, 3)
-	l2 := n.LinkBetween(3, 1)
-	if l1 != l2 {
-		t.Fatal("links must be symmetric (shared queue)")
-	}
-	c := NewClock()
-	n.Send(c, 0, 1, 500)
-	n.Send(c, 2, 3, 500)
-	if n.TotalBytesMoved() != 1000 {
-		t.Fatalf("total bytes %d", n.TotalBytesMoved())
-	}
-}
-
-func TestNetworkInvalidEndpoints(t *testing.T) {
-	n := NewNetwork(2, 1000, 0)
-	for _, pair := range [][2]int{{0, 0}, {-1, 1}, {0, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("endpoints %v should panic", pair)
-				}
-			}()
-			n.LinkBetween(pair[0], pair[1])
-		}()
-	}
-}
-
-func TestParameterServerVersioning(t *testing.T) {
-	ps := NewParameterServer(8)
-	l := NewLink(1e9, 0)
-	c := NewClock()
-	key := ps.ShardFor("table0", 42)
-	if ps.Version(key) != 0 {
-		t.Fatal("fresh shard version must be 0")
-	}
-	ps.Push(c, l, key, 1000)
-	ps.Push(c, l, key, 2000)
-	if ps.Version(key) != 2 {
-		t.Fatalf("version %d, want 2", ps.Version(key))
-	}
-	if ps.StoredBytes(key) != 3000 {
-		t.Fatalf("stored %d", ps.StoredBytes(key))
-	}
-	_, v := ps.Pull(c, l, key, 3000)
-	if v != 2 {
-		t.Fatalf("pull version %d", v)
-	}
-	pushes, pulls := ps.Stats()
-	if pushes != 2 || pulls != 1 {
-		t.Fatalf("stats %d/%d", pushes, pulls)
-	}
-}
-
-func TestShardForDeterministicAndInRange(t *testing.T) {
-	ps := NewParameterServer(16)
-	k1 := ps.ShardFor("emb", 7)
-	k2 := ps.ShardFor("emb", 7)
-	if k1 != k2 {
-		t.Fatal("sharding must be deterministic")
-	}
-	seen := make(map[int]bool)
-	for row := int32(0); row < 1000; row++ {
-		k := ps.ShardFor("emb", row)
-		if k.Shard < 0 || k.Shard >= 16 {
-			t.Fatalf("shard %d out of range", k.Shard)
-		}
-		seen[k.Shard] = true
-	}
-	if len(seen) < 8 {
-		t.Fatalf("sharding too concentrated: only %d shards used", len(seen))
-	}
-}
-
 // Property: completion times on one link are non-decreasing in issue order
 // and total busy time equals the sum of wire durations.
 func TestPropertyLinkSerialization(t *testing.T) {

@@ -165,9 +165,6 @@ type System = core.System
 // internal/cluster for details.
 type Cluster = cluster.Cluster
 
-// Router picks the replica that serves each request.
-type Router = cluster.Router
-
 // RouterPolicy names a built-in routing policy for WithRouter.
 type RouterPolicy = cluster.Policy
 
@@ -193,8 +190,8 @@ const (
 	// SyncModeAsync (the default) is the versioned, double-buffered
 	// pipeline: each replica is snapshotted individually, the priority merge
 	// runs on a background goroutine with the simulated AllGather cost
-	// charged to the sync clock, and the merged state is published per
-	// replica through epoch-versioned atomic pointer swaps. Serving never
+	// charged to the sync clock, and the epoch-stamped merged state is
+	// published per replica under that replica's own lock. Serving never
 	// blocks on a fleet-wide lock during a periodic sync.
 	SyncModeAsync = cluster.SyncAsync
 	// SyncModeBarrier is the legacy stop-the-world protocol: every periodic
@@ -299,7 +296,6 @@ func (f optionFunc) apply(c *config) error { return f(c) }
 type config struct {
 	profile   *Profile
 	seed      uint64
-	seedSet   bool
 	replicas  int
 	router    RouterPolicy
 	syncEvery time.Duration
@@ -308,7 +304,6 @@ type config struct {
 	deltaSync bool
 	compress  int
 	chaos     ChaosSchedule
-	legacy    *core.Options
 	overrides []func(*core.Options)
 	listener  net.Listener
 	admission AdmissionConfig
@@ -316,8 +311,7 @@ type config struct {
 	faultPlan FaultPlan
 }
 
-// WithProfile selects the dataset/workload profile (required unless a legacy
-// Options value is supplied).
+// WithProfile selects the dataset/workload profile (required).
 func WithProfile(p Profile) Option {
 	return optionFunc(func(c *config) error {
 		c.profile = &p
@@ -330,7 +324,6 @@ func WithProfile(p Profile) Option {
 func WithSeed(seed uint64) Option {
 	return optionFunc(func(c *config) error {
 		c.seed = seed
-		c.seedSet = true
 		return nil
 	})
 }
@@ -680,33 +673,12 @@ var (
 	_ Server = (*RemoteServer)(nil)
 )
 
-// Options is the legacy flat configuration struct.
-//
-// Deprecated: build Servers with New and functional options (WithProfile,
-// WithSeed, WithReplicas, ...). Options itself implements Option, so
-// existing New(DefaultOptions(p, seed)) call sites keep working; the value
-// is taken verbatim as the per-node configuration.
+// Options is the per-node configuration that WithSystemOptions edits: the
+// defaults New derives from WithProfile and WithSeed, before any edit runs.
 type Options core.Options
 
-func (o Options) apply(c *config) error {
-	co := core.Options(o)
-	c.legacy = &co
-	return nil
-}
-
-// DefaultOptions returns the full-system single-node configuration
-// (training, NUMA scheduling, and embedding-vector reuse all enabled) for a
-// profile.
-//
-// Deprecated: prefer functional options; kept for the legacy New(Options)
-// form and as the base WithSystemOptions edits.
-func DefaultOptions(p Profile, seed uint64) Options {
-	return Options(core.DefaultOptions(p, seed))
-}
-
 // New builds a Server. With WithReplicas(1) (the default) the result is a
-// single-node *System; with more replicas it is a *Cluster. A legacy Options
-// value may be passed instead of (not alongside) WithProfile/WithSeed.
+// single-node *System; with more replicas it is a *Cluster.
 func New(opts ...Option) (Server, error) {
 	c := config{seed: 42, replicas: 1, router: RoundRobinRouter, syncEvery: 30 * time.Second, syncMode: SyncModeAsync}
 	for _, o := range opts {
@@ -717,19 +689,10 @@ func New(opts ...Option) (Server, error) {
 			return nil, err
 		}
 	}
-	var base core.Options
-	switch {
-	case c.legacy != nil && c.profile != nil:
-		return nil, fmt.Errorf("liveupdate: legacy Options and WithProfile are mutually exclusive")
-	case c.legacy != nil && c.seedSet:
-		return nil, fmt.Errorf("liveupdate: legacy Options and WithSeed are mutually exclusive (set Options.Seed instead)")
-	case c.legacy != nil:
-		base = *c.legacy
-	case c.profile != nil:
-		base = core.DefaultOptions(*c.profile, c.seed)
-	default:
-		return nil, fmt.Errorf("liveupdate: New requires WithProfile (or a legacy Options value)")
+	if c.profile == nil {
+		return nil, fmt.Errorf("liveupdate: New requires WithProfile")
 	}
+	base := core.DefaultOptions(*c.profile, c.seed)
 	for _, edit := range c.overrides {
 		edit(&base)
 	}

@@ -53,11 +53,9 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestLegacyOptionsShim(t *testing.T) {
+func TestWithTrainingDisabled(t *testing.T) {
 	p := smallProfile(t)
-	opts := DefaultOptions(p, 7)
-	opts.EnableTraining = false
-	srv, err := New(opts)
+	srv, err := New(WithProfile(p), WithSeed(7), WithTraining(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +66,7 @@ func TestLegacyOptionsShim(t *testing.T) {
 		}
 	}
 	if st := srv.Stats(); st.TrainSteps != 0 {
-		t.Fatalf("training disabled via legacy Options, but %d train steps ran", st.TrainSteps)
-	}
-	if _, err := New(opts, WithProfile(p)); err == nil {
-		t.Fatal("legacy Options + WithProfile must be rejected")
-	}
-	if _, err := New(opts, WithSeed(9)); err == nil {
-		t.Fatal("legacy Options + WithSeed must be rejected, not silently ignored")
+		t.Fatalf("training disabled via WithTraining(false), but %d train steps ran", st.TrainSteps)
 	}
 }
 
