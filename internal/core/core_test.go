@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -549,5 +550,62 @@ func TestLockRuleConcurrentWriters(t *testing.T) {
 	}
 	if s.AdapterEpoch() != 29 || s.FullSyncs() != 3 {
 		t.Fatalf("epoch %d, full syncs %d; want 29 and 3", s.AdapterEpoch(), s.FullSyncs())
+	}
+}
+
+// TestMemoryModelStatsPinned pins the virtual-time statistics the simulated
+// L3 decides (P99, violations, both workloads' hit ratios and DRAM traffic)
+// to literals recorded from the container/list LRU the current cache
+// replaced, so any drift in hit, miss or eviction order shows. The L3 is
+// shrunk so both workloads evict, and the run is long enough that the
+// Algorithm 2 controller repartitions, flushing the reassigned CCD. The
+// reuse-off run sends the trainer's reads through the cached path too.
+func TestMemoryModelStatsPinned(t *testing.T) {
+	type pinned struct {
+		p99                float64
+		violations         uint64
+		infHit, trainHit   float64
+		infDRAM, trainDRAM int64
+	}
+	cases := []struct {
+		reuse bool
+		want  pinned
+	}{
+		{true, pinned{0.0060400021399667995, 0, 0.7107333333333333, 0.95, 1110784, 384000}},
+		{false, pinned{0.006040006139322823, 0, 0.7107333333333333, 0.2551333333333333, 1110784, 11441152}},
+	}
+	for _, tc := range cases {
+		p := trace.Profiles()["criteo"]
+		o := DefaultOptions(p, 11)
+		o.EnableReuse = tc.reuse
+		o.Machine.L3BlocksPerCCD = 512
+		s := MustNew(o)
+		gen := trace.MustNewGenerator(p, 11)
+		for i := 0; i < 3000; i++ {
+			if _, err := s.Serve(gen.Next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if toInf, toTrain := s.Controller.Moves(); toInf+toTrain == 0 {
+			t.Fatalf("reuse=%v: controller never repartitioned, so Flush went unexercised", tc.reuse)
+		}
+		st := s.Stats()
+		got := pinned{
+			p99:        st.P99,
+			violations: st.Violations,
+			infHit:     st.InferenceHitRatio,
+			trainHit:   st.TrainingHitRatio,
+			infDRAM:    s.Machine.DRAMBytes(numasim.Inference),
+			trainDRAM:  s.Machine.DRAMBytes(numasim.Training),
+		}
+		// The literals were recorded on amd64, where Go never fuses a
+		// multiply-add; architectures that do may round the float P99
+		// differently in its last bits, so P99 is compared on amd64 only.
+		if runtime.GOARCH != "amd64" {
+			got.p99 = tc.want.p99
+		}
+		if got != tc.want {
+			t.Fatalf("reuse=%v: virtual-time stats drifted\n got  %+v\n want %+v", tc.reuse, got, tc.want)
+		}
 	}
 }

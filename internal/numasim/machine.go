@@ -83,8 +83,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumCCDs <= 0:
 		return fmt.Errorf("numasim: NumCCDs must be positive")
-	case c.L3BlocksPerCCD <= 0:
-		return fmt.Errorf("numasim: L3BlocksPerCCD must be positive")
+	case c.L3BlocksPerCCD <= 0 || c.L3BlocksPerCCD > maxL3Blocks:
+		return fmt.Errorf("numasim: L3BlocksPerCCD %d out of [1,%d]", c.L3BlocksPerCCD, maxL3Blocks)
 	case c.L3HitLatency <= 0 || c.DRAMLatency <= c.L3HitLatency:
 		return fmt.Errorf("numasim: need 0 < L3HitLatency < DRAMLatency")
 	case c.DRAMBandwidth <= 0:
@@ -296,9 +296,6 @@ func (m *Machine) DRAMBytes(w Workload) int64 { return m.stats[w].dramBytes }
 func (m *Machine) ResetStats() {
 	for i := range m.stats {
 		m.stats[i] = wstats{}
-	}
-	for _, c := range m.ccds {
-		c.ResetStats()
 	}
 }
 

@@ -1,6 +1,7 @@
 package numasim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,28 +31,195 @@ func TestL3CacheLRU(t *testing.T) {
 	}
 }
 
+// TestL3CacheHitRatio: hits and misses are counted per workload by the
+// machine; ResetStats zeroes the counts without flushing the caches, and
+// Flush empties a cache.
 func TestL3CacheHitRatio(t *testing.T) {
-	c := NewL3Cache(10)
-	if c.HitRatio() != 0 {
-		t.Fatal("fresh cache ratio must be 0")
+	m, _ := newTestMachine()
+	if m.HitRatio(Inference) != 0 {
+		t.Fatal("fresh machine ratio must be 0")
 	}
-	c.Access(BlockKey{0, 1}) // miss
-	c.Access(BlockKey{0, 1}) // hit
-	if c.HitRatio() != 0.5 {
-		t.Fatalf("ratio %v", c.HitRatio())
+	m.Access(Inference, KindCached, 0, 1) // miss
+	m.Access(Inference, KindCached, 0, 1) // hit
+	if m.HitRatio(Inference) != 0.5 {
+		t.Fatalf("ratio %v", m.HitRatio(Inference))
 	}
-	c.ResetStats()
-	h, m := c.Stats()
-	if h != 0 || m != 0 {
+	m.ResetStats()
+	if m.HitRatio(Inference) != 0 {
 		t.Fatal("ResetStats failed")
 	}
-	if !c.Contains(BlockKey{0, 1}) {
+	if m.Access(Inference, KindCached, 0, 1) != m.Config().L3HitLatency || m.HitRatio(Inference) != 1 {
 		t.Fatal("ResetStats must not flush contents")
 	}
+	c := NewL3Cache(10)
+	c.Access(BlockKey{0, 1})
 	c.Flush()
-	if c.Len() != 0 {
+	if c.Len() != 0 || c.Contains(BlockKey{0, 1}) {
 		t.Fatal("Flush must empty the cache")
 	}
+}
+
+// refLRU is the slice-based reference FuzzL3Cache checks L3Cache against:
+// keys in recency order, most recent first.
+type refLRU struct {
+	capacity int
+	keys     []BlockKey
+}
+
+func (r *refLRU) access(k BlockKey) bool {
+	for i, v := range r.keys {
+		if v == k {
+			copy(r.keys[1:i+1], r.keys[:i])
+			r.keys[0] = k
+			return true
+		}
+	}
+	if len(r.keys) == r.capacity {
+		r.keys = r.keys[:len(r.keys)-1]
+	}
+	r.keys = append([]BlockKey{k}, r.keys...)
+	return false
+}
+
+func (r *refLRU) contains(k BlockKey) bool {
+	for _, v := range r.keys {
+		if v == k {
+			return true
+		}
+	}
+	return false
+}
+
+// fuzzOp decodes one two-byte FuzzL3Cache step: 0xFF flushes; otherwise the
+// key's Space is the high nibble of a (signed, -8..7) and its Row is b as a
+// signed byte, shifted into the high bits when a is odd, so negative rows,
+// sign-extended halves and rows near the int32 limits all occur.
+func fuzzOp(a, b byte) (key BlockKey, flush bool) {
+	if a == 0xFF {
+		return BlockKey{}, true
+	}
+	key = BlockKey{Space: int32(int8(a)) >> 4, Row: int32(int8(b))}
+	if a&1 == 1 {
+		key.Row <<= 24
+	}
+	return key, false
+}
+
+// FuzzL3Cache replays a fuzzed sequence of accesses and flushes at a small
+// capacity against refLRU. After every step the hit/miss result, Len, and
+// Contains for every key seen so far must agree.
+func FuzzL3Cache(f *testing.F) {
+	// TestL3CacheLRU's sequence: rows 1, 1, 2, 3 at capacity 2.
+	f.Add(uint8(1), []byte{0, 1, 0, 1, 0, 2, 0, 3})
+	f.Add(uint8(2), []byte{0x10, 0xFF, 0xF0, 0x80, 0x71, 0x7F, 0xFF, 0, 0x10, 0xFF, 0x81, 1})
+	// Keys sharing one home bucket at capacity 4, plus keys homed
+	// elsewhere: evicting the run's head for an outside key leaves a hole
+	// that backward-shift deletion must close, or the rest of the run
+	// becomes unreachable.
+	probe := NewL3Cache(4)
+	home := probe.home(packKey(BlockKey{}))
+	var same, other []byte
+	for a := 0; a < 0xFF; a += 3 {
+		for b := 0; b < 256; b += 7 {
+			k, _ := fuzzOp(byte(a), byte(b))
+			switch probe.home(packKey(k)) {
+			case home:
+				same = append(same, byte(a), byte(b))
+			case (home + 4) & probe.mask:
+				other = append(other, byte(a), byte(b))
+			}
+		}
+	}
+	if len(same) < 16 || len(other) < 4 {
+		f.Fatalf("found %d keys sharing a bucket, %d homed opposite", len(same)/2, len(other)/2)
+	}
+	seq := append(append([]byte(nil), same[:8]...), other[:2]...)
+	seq = append(append(seq, same[2:8]...), other[2:4]...)
+	seq = append(append(seq, same[:16]...), 0xFF, 0)
+	f.Add(uint8(3), append(seq, same[:6]...))
+
+	f.Fuzz(func(t *testing.T, capByte uint8, ops []byte) {
+		capacity := 1 + int(capByte%8)
+		c := NewL3Cache(capacity)
+		ref := &refLRU{capacity: capacity}
+		var seen []BlockKey
+		for i := 0; i+1 < len(ops); i += 2 {
+			key, flush := fuzzOp(ops[i], ops[i+1])
+			if flush {
+				c.Flush()
+				ref.keys = ref.keys[:0]
+			} else {
+				if got, want := c.Access(key), ref.access(key); got != want {
+					t.Fatalf("step %d: Access(%v) = %v, reference %v", i/2, key, got, want)
+				}
+				if !slices.Contains(seen, key) {
+					seen = append(seen, key)
+				}
+			}
+			if c.Len() != len(ref.keys) {
+				t.Fatalf("step %d: Len %d, reference %d", i/2, c.Len(), len(ref.keys))
+			}
+			for _, k := range seen {
+				if c.Contains(k) != ref.contains(k) {
+					t.Fatalf("step %d: Contains(%v) = %v, reference %v", i/2, k, c.Contains(k), ref.contains(k))
+				}
+			}
+		}
+	})
+}
+
+// TestL3CacheAccessZeroAlloc: once built, the cache allocates nothing, on
+// hits or on misses that evict.
+func TestL3CacheAccessZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := NewL3Cache(64)
+	for r := int32(0); r < 64; r++ {
+		c.Access(BlockKey{Space: 1, Row: r})
+	}
+	row := int32(64)
+	allocs := testing.AllocsPerRun(200, func() {
+		c.Access(BlockKey{Space: 1, Row: row % 8}) // hits on the hot set
+		c.Access(BlockKey{Space: 2, Row: row})     // evicting miss
+		row++
+	})
+	if allocs != 0 {
+		t.Fatalf("Access allocates %v per run, want 0", allocs)
+	}
+	if c.Len() != 64 {
+		t.Fatalf("len %d, want a full cache", c.Len())
+	}
+}
+
+// BenchmarkL3CacheAccess: one op is one Access on a Zipf-skewed stream of
+// rows from 8 criteo-sized tables, spread over 12 CCD caches the way
+// Machine.Access routes them. The caches are shrunk to 512 blocks so the
+// stream mixes hits with evicting misses (hit/op reports the ratio).
+func BenchmarkL3CacheAccess(b *testing.B) {
+	caches := make([]*L3Cache, DefaultConfig().NumCCDs)
+	for i := range caches {
+		caches[i] = NewL3Cache(512)
+	}
+	rng := tensor.NewRNG(1)
+	zipf := tensor.NewZipf(rng, 6000, 1.1)
+	keys := make([]BlockKey, 1<<18)
+	for i := range keys {
+		keys[i] = BlockKey{Space: int32(rng.Intn(8)), Row: int32(zipf.Next())}
+	}
+	for _, k := range keys {
+		caches[int(uint32(k.Space*31+k.Row))%len(caches)].Access(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		k := keys[i&(len(keys)-1)]
+		if caches[int(uint32(k.Space*31+k.Row))%len(caches)].Access(k) {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
 }
 
 func TestMachineConfigValidation(t *testing.T) {
@@ -62,6 +230,7 @@ func TestMachineConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.NumCCDs = 0 },
 		func(c *Config) { c.L3BlocksPerCCD = 0 },
+		func(c *Config) { c.L3BlocksPerCCD = maxL3Blocks + 1 },
 		func(c *Config) { c.L3HitLatency = 0 },
 		func(c *Config) { c.DRAMLatency = c.L3HitLatency },
 		func(c *Config) { c.DRAMBandwidth = 0 },

@@ -104,14 +104,6 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// MatMul returns a × b. It panics on a dimension mismatch. Thin allocating
-// shim over MatMulInto; hot paths call the Into kernel directly.
-func MatMul(a, b *Matrix) *Matrix {
-	c := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(c, a, b)
-	return c
-}
-
 // checkMatVec validates one matvec call. Every panic message carries both
 // operand shapes (a, x, dst) so a mismatch is diagnosable from the message
 // alone, whichever operand is wrong.
@@ -128,14 +120,6 @@ func checkMatVec(op string, dst []float64, a *Matrix, x []float64) {
 		panic(fmt.Sprintf("tensor: %s a=%dx%d x=%d dst=%d: dst must not alias x",
 			op, a.Rows, a.Cols, len(x), len(dst)))
 	}
-}
-
-// MatVec returns a × x for a column vector x (len == a.Cols). Thin allocating
-// shim over MatVecInto.
-func MatVec(a *Matrix, x []float64) []float64 {
-	y := make([]float64, a.Rows)
-	MatVecInto(y, a, x)
-	return y
 }
 
 // MatVecRefInto is the naive scalar matvec: one accumulator per output row,

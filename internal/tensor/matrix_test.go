@@ -36,10 +36,18 @@ func TestAtSetRow(t *testing.T) {
 	}
 }
 
+// product returns a × b in a new matrix.
+func product(a, b *Matrix) *Matrix {
+	c := NewMatrix(a.Rows, b.Cols)
+	MatMulInto(c, a, b)
+	return c
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewMatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := NewMatrix(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
@@ -55,7 +63,8 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(i, i, 1)
 	}
-	c := MatMul(a, id)
+	c := NewMatrix(5, 5)
+	MatMulInto(c, a, id)
 	for i := range a.Data {
 		if !almostEqual(c.Data[i], a.Data[i], 1e-12) {
 			t.Fatalf("A*I != A at %d: %v vs %v", i, c.Data[i], a.Data[i])
@@ -69,7 +78,7 @@ func TestMatMulDimensionPanic(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	MatMulInto(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestTransposeInvolution(t *testing.T) {
@@ -85,7 +94,8 @@ func TestTransposeInvolution(t *testing.T) {
 
 func TestMatVec(t *testing.T) {
 	a := NewMatrixFrom(2, 3, []float64{1, 0, 2, 0, 3, 0})
-	y := MatVec(a, []float64{1, 2, 3})
+	y := make([]float64, 2)
+	MatVecInto(y, a, []float64{1, 2, 3})
 	if y[0] != 7 || y[1] != 6 {
 		t.Fatalf("MatVec = %v, want [7 6]", y)
 	}
@@ -205,8 +215,8 @@ func TestPropertyMatMulTranspose(t *testing.T) {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a := RandomMatrix(rng, m, k, 1)
 		b := RandomMatrix(rng, k, n, 1)
-		lhs := MatMul(a, b).T()
-		rhs := MatMul(b.T(), a.T())
+		lhs := product(a, b).T()
+		rhs := product(b.T(), a.T())
 		for i := range lhs.Data {
 			if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-9) {
 				return false
@@ -229,9 +239,9 @@ func TestPropertyMatMulDistributive(t *testing.T) {
 		c := RandomMatrix(rng, k, n, 1)
 		sum := b.Clone()
 		sum.Add(c)
-		lhs := MatMul(a, sum)
-		rhs := MatMul(a, b)
-		rhs.Add(MatMul(a, c))
+		lhs := product(a, sum)
+		rhs := product(a, b)
+		rhs.Add(product(a, c))
 		for i := range lhs.Data {
 			if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-9) {
 				return false

@@ -16,7 +16,7 @@ func reconstruct(s *SVD) *Matrix {
 			row[j] *= s.S[j]
 		}
 	}
-	return MatMul(us, s.V.T())
+	return product(us, s.V.T())
 }
 
 func TestSVDReconstructionSmall(t *testing.T) {
@@ -50,7 +50,7 @@ func TestSVDOrthonormalV(t *testing.T) {
 	rng := NewRNG(22)
 	a := RandomMatrix(rng, 10, 6, 1)
 	s := ComputeSVD(a)
-	vtv := MatMul(s.V.T(), s.V)
+	vtv := product(s.V.T(), s.V)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			want := 0.0
@@ -144,7 +144,7 @@ func TestPropertyEckartYoung(t *testing.T) {
 		s := ComputeSVD(a)
 		k := 1 + rng.Intn(minInt(m, n))
 		left, right := TruncatedSVD(a, k)
-		approx := MatMul(left, right)
+		approx := product(left, right)
 		approx.Sub(a)
 		got := approx.FrobeniusNorm()
 		want := 0.0
