@@ -535,25 +535,36 @@ func BenchmarkAblationSyncProtocol(b *testing.B) {
 	grad[0] = 1
 	b.Run("priority-merge", func(b *testing.B) {
 		replicas := makeReplicas()
-		sg := collective.NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+		sg, err := collective.NewSyncGroup(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states := make([]collective.RankedState, len(replicas))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A little fresh work per cycle, then the sparse sync.
 			replicas[i%4].ApplyGrad(0, []int32{int32(i % 2000)}, grad, 0.05)
-			if _, err := sg.Sync(simnet.NewClock()); err != nil {
+			for r, rep := range replicas {
+				states[r] = collective.RankedState{Rank: r, Tables: rep.Snapshot()}
+			}
+			merged, _, epoch, err := sg.Sync(simnet.NewClock(), states)
+			if err != nil {
 				b.Fatal(err)
+			}
+			for _, rep := range replicas {
+				rep.Publish(merged, epoch)
 			}
 		}
 	})
 	b.Run("naive-dense", func(b *testing.B) {
 		// Naive alternative: every rank ships its full adapter state (all A
-		// rows of the table at current rank) regardless of modification.
+		// rows of the table at current rank) regardless of modification,
+		// one transfer after another over a 100 GbE link with 1 ms latency.
+		const denseBytes = 2 * 2000 * 4 * 8 // 2 tables, full A at rank 4
 		for i := 0; i < b.N; i++ {
 			clock := simnet.NewClock()
-			link := simnet.NewLink(simnet.Gbps100, 0.001)
 			for r := 0; r < 4; r++ {
-				denseBytes := int64(2 * 2000 * 4 * 8) // 2 tables, full A at rank 4
-				link.TransferAndWait(clock, denseBytes)
+				clock.Advance(0.001 + denseBytes/simnet.Gbps100)
 			}
 		}
 	})
@@ -612,13 +623,12 @@ func runControllerSweep(b *testing.B, high, low float64) {
 }
 
 // BenchmarkAblationClockOverhead measures the discrete-event substrate
-// itself: virtual-clock transfers must be cheap enough to never dominate.
+// itself: charging a 1 MiB transfer to the virtual clock must be cheap
+// enough to never dominate.
 func BenchmarkAblationClockOverhead(b *testing.B) {
 	clock := simnet.NewClock()
-	link := simnet.NewLink(simnet.Gbps100, 0.001)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		link.TransferAndWait(clock, 1<<20)
+		clock.Advance(0.001 + (1<<20)/simnet.Gbps100)
 	}
 }
 
@@ -665,7 +675,7 @@ func BenchmarkSyncCollectivePricing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sg, err := collective.NewSyncGroupWith(collective.GroupConfig{
+	sg, err := collective.NewSyncGroup(collective.GroupConfig{
 		BandwidthBps:  simnet.Gbps100,
 		LatencySec:    1e-6,
 		Topology:      topo,
@@ -678,7 +688,7 @@ func BenchmarkSyncCollectivePricing(b *testing.B) {
 	clock := simnet.NewClock()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := sg.SyncRanked(clock, states); err != nil {
+		if _, _, _, err := sg.Sync(clock, states); err != nil {
 			b.Fatal(err)
 		}
 	}

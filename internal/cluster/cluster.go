@@ -23,18 +23,19 @@
 //     target replica's own mutex (inside core.System.Serve). Requests for
 //     different replicas never contend; requests for the same replica
 //     serialize, matching the single-server virtual-clock model.
-//   - How a periodic sync propagates depends on Config.Mode. In SyncBarrier
-//     mode it takes the fleet-wide write lock: a stop-the-world barrier that
-//     drains in-flight requests, mutates every replica, and readmits
-//     traffic. In SyncAsync mode (the default) there is no fleet-wide
-//     serialization point at all: the pipeline snapshots each replica
-//     individually (holding only that replica's lock for the O(rows)
-//     export), runs the priority merge on a background goroutine with the
-//     simulated AllGather cost charged to the sync clock, and publishes the
-//     epoch-stamped merged state per replica, under that replica's write
-//     lock only (core.System.PublishLoRA). ServeShard never blocks on a
-//     periodic sync in async mode; manual SyncNow and ReplicasConsistent
-//     remain explicit barriers in both modes.
+//   - Every sync — async pipeline epoch, barrier-mode periodic sync, or
+//     SyncNow — runs one body (syncMembers): snapshot each live member under
+//     that member's own lock (core.System.SnapshotLoRA), merge and price the
+//     collective in collective.SyncGroup.Sync with the cost charged to the
+//     sync clock, and publish the epoch-stamped merged state per member
+//     under that member's write lock (core.System.PublishLoRA). What differs
+//     is the locks held around it. In SyncAsync mode (the default) a
+//     background pipeline goroutine runs it holding only syncMu, so
+//     ServeShard never blocks on a periodic sync. In SyncBarrier mode the
+//     serve that crosses an epoch runs it holding syncMu and the fleet-wide
+//     write lock: a stop-the-world barrier that drains in-flight requests,
+//     syncs, and readmits traffic. SyncNow and ReplicasConsistent are
+//     explicit barriers in both modes.
 //   - Membership reads are lock-free: the serve path loads the current
 //     fleet.View through an atomic pointer (under the fleet read lock, so a
 //     request never straddles a membership commit). Membership mutations
@@ -191,11 +192,9 @@ func (c Config) Validate() error {
 // Scale.
 type Cluster struct {
 	cfg    Config
-	mode   SyncMode
 	fleet  *fleet.Controller
 	router Router
 	sync   *collective.SyncGroup
-	async  *collective.AsyncSyncGroup
 
 	// syncClock accumulates virtual time spent inside priority-merge syncs
 	// and catch-up transfers, separate from the replicas' serving clocks.
@@ -227,9 +226,9 @@ type Cluster struct {
 	// periodic syncs are disabled).
 	pipe *syncPipeline
 
-	// testSyncStall, when set by tests, is invoked by the async pipeline
-	// after the snapshot while the merge is staged — a hook to hold a sync
-	// "in flight" and prove serving does not block behind it.
+	// testSyncStall, when set by tests, is invoked by every sync between the
+	// snapshot and the merge — a hook to hold an async epoch "in flight" and
+	// prove serving does not block behind it.
 	testSyncStall func()
 
 	// gen counts state-changing operations (serves, syncs, membership
@@ -275,7 +274,6 @@ func New(cfg Config) (*Cluster, error) {
 	cfg.Mode = mode
 	c := &Cluster{
 		cfg:       cfg,
-		mode:      mode,
 		router:    cfg.Router,
 		syncClock: simnet.NewClock(),
 		gen:       metrics.NewShardedCounter(cfg.Replicas),
@@ -318,7 +316,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err // unreachable: Validate already parsed it
 	}
-	c.sync, err = collective.NewSyncGroupWith(collective.GroupConfig{
+	c.sync, err = collective.NewSyncGroup(collective.GroupConfig{
 		BandwidthBps:  cfg.BandwidthBps,
 		LatencySec:    cfg.LatencySec,
 		Topology:      topo,
@@ -328,7 +326,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err // unreachable: Validate already checked the level
 	}
-	c.async = collective.NewAsyncSyncGroup(c.sync)
 	if mode == SyncAsync && cfg.SyncEvery > 0 {
 		c.pipe = newSyncPipeline(c)
 	}
@@ -384,7 +381,7 @@ func (c *Cluster) Members() *fleet.View { return c.fleet.View() }
 func (c *Cluster) RouterName() string { return c.router.Name() }
 
 // Mode returns the periodic-sync propagation mode.
-func (c *Cluster) Mode() SyncMode { return c.mode }
+func (c *Cluster) Mode() SyncMode { return c.cfg.Mode }
 
 // DefaultBatchSize returns the serving-batch hint attached at construction
 // (Config.Base.BatchSize; 0 = unbatched). The load driver uses it when its
@@ -432,27 +429,9 @@ func (c *Cluster) Serve(s trace.Sample) (core.Response, error) {
 // left redirects to the next active slot — the lane drains instead of
 // erroring.
 func (c *Cluster) ServeShard(shard int, s trace.Sample) (core.Response, error) {
-	if c.pipe != nil {
-		if err := c.pipe.Err(); err != nil {
-			return core.Response{}, err
-		}
-	}
-	// The view is resolved under the read lock: membership commits hold
-	// the write lock, so a member can never be folded out of the fleet
-	// totals while this request is mid-serve on it.
-	c.fleetMu.RLock()
-	v := c.fleet.View()
-	if shard < 0 || shard >= v.NumSlots() {
-		c.fleetMu.RUnlock()
-		return core.Response{}, fmt.Errorf("cluster: router %s picked replica %d of %d",
-			c.router.Name(), shard, v.NumSlots())
-	}
-	m := v.Member(shard)
-	if m == nil {
-		if m = v.Redirect(shard); m == nil {
-			c.fleetMu.RUnlock()
-			return core.Response{}, fmt.Errorf("cluster: no active replicas")
-		}
+	m, err := c.enterShard(shard)
+	if err != nil {
+		return core.Response{}, err
 	}
 	resp, err := m.Sys.Serve(s)
 	if err != nil {
@@ -460,29 +439,7 @@ func (c *Cluster) ServeShard(shard int, s trace.Sample) (core.Response, error) {
 		return resp, err
 	}
 	resp.Replica = m.Slot
-	needBarrierSync := false
-	if d := c.cfg.SyncEvery.Seconds(); d > 0 {
-		if e := c.epochOf(d); e > c.syncedEpoch.Load() {
-			if c.mode == SyncBarrier {
-				needBarrierSync = true
-			} else {
-				// Kick while still holding the read lock (kick is
-				// non-blocking and touches neither fleetMu nor the
-				// replicas), so anyone holding the WRITE lock knows no new
-				// pipeline work can appear under them — the invariant
-				// SyncNow and ReplicasConsistent rely on when they drain.
-				c.pipe.kick(e)
-			}
-		}
-	}
-	c.gen.Add(m.Slot%c.gen.Shards(), 1)
-	c.fleetMu.RUnlock()
-	if needBarrierSync {
-		if err := c.syncPendingEpochs(); err != nil {
-			return resp, err
-		}
-	}
-	return resp, nil
+	return resp, c.leaveShard(m)
 }
 
 // ServeShardBatch serves a run of pre-routed same-shard samples on one
@@ -502,24 +459,9 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 	if len(samples) == 0 {
 		return nil
 	}
-	if c.pipe != nil {
-		if err := c.pipe.Err(); err != nil {
-			return err
-		}
-	}
-	c.fleetMu.RLock()
-	v := c.fleet.View()
-	if shard < 0 || shard >= v.NumSlots() {
-		c.fleetMu.RUnlock()
-		return fmt.Errorf("cluster: router %s picked replica %d of %d",
-			c.router.Name(), shard, v.NumSlots())
-	}
-	m := v.Member(shard)
-	if m == nil {
-		if m = v.Redirect(shard); m == nil {
-			c.fleetMu.RUnlock()
-			return fmt.Errorf("cluster: no active replicas")
-		}
+	m, err := c.enterShard(shard)
+	if err != nil {
+		return err
 	}
 	if err := m.Sys.ServeBatch(samples, resps); err != nil {
 		c.fleetMu.RUnlock()
@@ -528,19 +470,59 @@ func (c *Cluster) ServeShardBatch(shard int, samples []trace.Sample, resps []cor
 	for i := range resps {
 		resps[i].Replica = m.Slot
 	}
-	needBarrierSync := false
+	return c.leaveShard(m)
+}
+
+// enterShard opens a serve on a replica slot: it surfaces a failed async
+// pipeline, takes the fleet read lock, and resolves the slot's member,
+// redirecting from an emptied slot to the next active one. The view is
+// resolved under the read lock because membership commits hold the write
+// lock, so a member can never be folded out of the fleet totals while a
+// request is mid-serve on it. On success the caller holds the read lock and
+// must release it through leaveShard (or RUnlock directly on a serve error).
+func (c *Cluster) enterShard(shard int) (*fleet.Member, error) {
+	if err := c.pipe.Err(); err != nil {
+		return nil, err
+	}
+	c.fleetMu.RLock()
+	v := c.fleet.View()
+	if shard < 0 || shard >= v.NumSlots() {
+		c.fleetMu.RUnlock()
+		return nil, fmt.Errorf("cluster: router %s picked replica %d of %d",
+			c.router.Name(), shard, v.NumSlots())
+	}
+	m := v.Member(shard)
+	if m == nil {
+		if m = v.Redirect(shard); m == nil {
+			c.fleetMu.RUnlock()
+			return nil, fmt.Errorf("cluster: no active replicas")
+		}
+	}
+	return m, nil
+}
+
+// leaveShard closes a successful serve on member m: it fires any periodic
+// sync epoch the fleet clock has crossed, bumps the stats generation, and
+// releases the fleet read lock. In async mode the pipeline is kicked while
+// the read lock is still held (kick is non-blocking and touches neither
+// fleetMu nor the replicas), so anyone holding the WRITE lock knows no new
+// pipeline work can appear under them — the invariant SyncNow and
+// ReplicasConsistent rely on. In barrier mode the sync itself needs the
+// write lock, so it runs after the read lock is released.
+func (c *Cluster) leaveShard(m *fleet.Member) error {
+	barrierSync := false
 	if d := c.cfg.SyncEvery.Seconds(); d > 0 {
 		if e := c.epochOf(d); e > c.syncedEpoch.Load() {
-			if c.mode == SyncBarrier {
-				needBarrierSync = true
-			} else {
+			if c.pipe != nil {
 				c.pipe.kick(e)
+			} else {
+				barrierSync = true
 			}
 		}
 	}
 	c.gen.Add(m.Slot%c.gen.Shards(), 1)
 	c.fleetMu.RUnlock()
-	if needBarrierSync {
+	if barrierSync {
 		return c.syncPendingEpochs()
 	}
 	return nil
@@ -607,7 +589,7 @@ func (c *Cluster) syncPendingEpochs() error {
 	c.fleetMu.Lock()
 	defer c.fleetMu.Unlock()
 	for target := c.epochOf(d); c.syncedEpoch.Load() < target; c.syncedEpoch.Add(1) {
-		if _, err := c.syncLocked(); err != nil {
+		if _, err := c.syncMembers(true); err != nil {
 			return fmt.Errorf("cluster: periodic sync: %w", err)
 		}
 	}
@@ -789,18 +771,29 @@ func (p *syncPipeline) kick(target int64) {
 	go p.run()
 }
 
-// run processes pending epochs until caught up, then exits.
+// run processes pending epochs until caught up, then exits. Each epoch runs
+// the shared sync body holding syncMu only, so serving proceeds throughout;
+// syncMu excludes membership mutations for the epoch's span, so the member
+// set snapshotted stays the member set published to, and a joiner never
+// misses a publish.
 func (p *syncPipeline) run() {
+	c := p.c
 	for {
 		p.mu.Lock()
-		if p.err != nil || p.c.syncedEpoch.Load() >= p.target {
+		if p.err != nil || c.syncedEpoch.Load() >= p.target {
 			p.running = false
 			p.cond.Broadcast()
 			p.mu.Unlock()
 			return
 		}
 		p.mu.Unlock()
-		if err := p.c.syncEpochAsync(); err != nil {
+		c.syncMu.Lock()
+		_, err := c.syncMembers(false)
+		if err == nil {
+			c.syncedEpoch.Add(1)
+		}
+		c.syncMu.Unlock()
+		if err != nil {
 			p.mu.Lock()
 			if p.err == nil {
 				p.err = fmt.Errorf("cluster: async periodic sync: %w", err)
@@ -824,50 +817,6 @@ func (p *syncPipeline) drain() error {
 		p.cond.Wait()
 	}
 	return p.err
-}
-
-// syncEpochAsync runs one epoch of the asynchronous protocol:
-//
-//  1. snapshot — each live member is locked individually, just long enough
-//     to export (and clear) its modified-row support;
-//  2. merge — PriorityMergeRanked (member IDs are the priority ranks) plus
-//     the simulated AllGather pricing run on a background goroutine
-//     (collective.AsyncSyncGroup), with the cost charged to the sync clock,
-//     not to any serving clock;
-//  3. publish — the epoch-stamped merged state is installed per member,
-//     each under its own write lock (PublishLoRA).
-//
-// No step takes the fleet-wide write lock, so serving proceeds throughout.
-// The whole epoch holds syncMu: membership mutations are excluded for its
-// span, so the member set read here stays the member set published to, and
-// a joiner never misses a publish.
-func (c *Cluster) syncEpochAsync() error {
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
-	members := c.fleet.View().Active()
-	states := make([]collective.RankedState, len(members))
-	for i, m := range members {
-		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.SnapshotLoRA()}
-	}
-	pending := c.async.BeginRanked(states)
-	if hook := c.testSyncStall; hook != nil {
-		hook()
-	}
-	merged, _, epoch, err := c.async.Finish(pending, c.syncClock)
-	if err != nil {
-		return err
-	}
-	// The publish stall is the install span: each member briefly holds its
-	// write lock while the merged state is installed.
-	t0 := c.tracer.StageStart(obs.StageSyncPublish)
-	for _, m := range members {
-		m.Sys.PublishLoRA(merged, epoch)
-	}
-	c.tracer.StageEnd(obs.StageSyncPublish, t0)
-	c.obsSyncs.Inc()
-	c.syncedEpoch.Add(1)
-	c.gen.Add(0, 1)
-	return nil
 }
 
 // quiesceSyncs waits for the async pipeline (if any) to finish all epochs
@@ -900,13 +849,13 @@ func (c *Cluster) SyncNow() (collective.MergeStats, error) {
 	defer c.syncMu.Unlock()
 	c.fleetMu.Lock()
 	defer c.fleetMu.Unlock()
-	return c.syncLocked()
+	return c.syncMembers(true)
 }
 
 // lockMembers freezes every given member with core.System.Lock (slot order,
 // no cycles: nothing holds one replica's locks while waiting on another's),
-// so fleet-wide mutations follow the adapter lock rule even for callers
-// driving a replica directly via Replica(i). Callers must hold fleetMu for
+// so the consistency probe reads adapters no caller driving a replica
+// directly via Replica(i) can be training. Callers must hold fleetMu for
 // write.
 func lockMembers(members []*fleet.Member) {
 	for _, m := range members {
@@ -920,29 +869,46 @@ func unlockMembers(members []*fleet.Member) {
 	}
 }
 
-// syncLocked runs one sync over the live member view; callers must hold the
-// fleet write lock.
-func (c *Cluster) syncLocked() (collective.MergeStats, error) {
-	// In barrier mode the whole merge+publish IS the serving stall (the
-	// fleet write lock is held), so the span covers all of it.
-	t0 := c.tracer.StageStart(obs.StageSyncPublish)
-	defer c.tracer.StageEnd(obs.StageSyncPublish, t0)
+// syncMembers is the one sync body behind every merge — async pipeline
+// epochs, barrier-mode periodic syncs, and SyncNow:
+//
+//  1. snapshot — each live member exports (and clears) its modified-row
+//     support under its own lock (SnapshotLoRA);
+//  2. merge — SyncGroup.Sync runs the priority merge (member IDs are the
+//     priority ranks), prices the collective, and charges it to the sync
+//     clock, not to any serving clock;
+//  3. publish — the epoch-stamped merged state is installed per member,
+//     each under its own write lock (PublishLoRA).
+//
+// Callers hold syncMu. barrier says they also hold the fleet write lock, so
+// no request is in flight and the whole body is the serving stall; the
+// sync_publish span then covers all three steps. Without it (the async
+// pipeline) serving proceeds throughout and the stall is the publish loop
+// alone, which the span covers.
+func (c *Cluster) syncMembers(barrier bool) (collective.MergeStats, error) {
+	t0 := int64(-1)
+	if barrier {
+		t0 = c.tracer.StageStart(obs.StageSyncPublish)
+	}
 	members := c.fleet.View().Active()
-	lockMembers(members)
 	states := make([]collective.RankedState, len(members))
 	for i, m := range members {
-		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.LoRA.Snapshot()}
+		states[i] = collective.RankedState{Rank: m.ID, Tables: m.Sys.SnapshotLoRA()}
 	}
-	merged, stats, epoch, err := c.sync.SyncRanked(c.syncClock, states)
-	if err == nil {
-		for _, m := range members {
-			m.Sys.LoRA.Publish(merged, epoch)
-		}
+	if hook := c.testSyncStall; hook != nil {
+		hook()
 	}
-	unlockMembers(members)
+	merged, stats, epoch, err := c.sync.Sync(c.syncClock, states)
 	if err != nil {
 		return stats, fmt.Errorf("cluster: sync failed: %w", err)
 	}
+	if !barrier {
+		t0 = c.tracer.StageStart(obs.StageSyncPublish)
+	}
+	for _, m := range members {
+		m.Sys.PublishLoRA(merged, epoch)
+	}
+	c.tracer.StageEnd(obs.StageSyncPublish, t0)
 	c.obsSyncs.Inc()
 	c.gen.Add(0, 1)
 	return stats, nil

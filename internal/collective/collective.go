@@ -1,7 +1,13 @@
 // Package collective implements the cross-node communication layer of
-// LiveUpdate: a tree/recursive-doubling AllGather with O(log N) rounds (the
-// Gloo substitute behind paper Fig 19) and the sparse data-parallel
-// priority-merge protocol of Algorithm 3.
+// LiveUpdate: the sparse data-parallel priority-merge protocol of
+// Algorithm 3, priced on flat (recursive-doubling AllGather, the Gloo
+// substitute behind paper Fig 19), ring or tree collectives.
+//
+// The protocol has one entry point, SyncGroup.Sync. Its caller snapshots each
+// replica's modified LoRA rows into RankedStates, Sync merges them, prices
+// the collective and charges that cost to a virtual clock, and the caller
+// publishes the merged state it returns. Delta billing and payload
+// compression change only the bill, never the merged state.
 package collective
 
 import (
@@ -33,23 +39,13 @@ type RankedState struct {
 	Tables []lora.TableState
 }
 
-// PriorityMerge implements Algorithm 3 lines 8-11: given the exported LoRA
-// states of R ranks (index = rank id), it computes the union of modified
-// rows per table, resolving conflicts deterministically in favor of the
-// highest rank id, and adopts the highest participating rank's B factor.
-func PriorityMerge(states [][]lora.TableState) ([]lora.TableState, MergeStats, error) {
-	ranked := make([]RankedState, len(states))
-	for r, st := range states {
-		ranked[r] = RankedState{Rank: r, Tables: st}
-	}
-	return PriorityMergeRanked(ranked)
-}
-
-// PriorityMergeRanked is PriorityMerge over explicitly ranked states. The
-// merged result is identical for any permutation of the input slice: winners
-// are chosen by comparing the contributors' Rank ids, never their slice
-// positions, and the shared B factor is adopted from the highest Rank
-// present. Rank ids must be distinct.
+// PriorityMergeRanked implements Algorithm 3 lines 8-11: given the exported
+// LoRA states of R ranks, it computes the union of modified rows per table,
+// resolving conflicts deterministically in favor of the highest rank id, and
+// adopts the highest participating rank's B factor. The merged result is
+// identical for any permutation of the input slice: winners are chosen by
+// comparing the contributors' Rank ids, never their slice positions. Rank ids
+// must be distinct.
 func PriorityMergeRanked(states []RankedState) ([]lora.TableState, MergeStats, error) {
 	if len(states) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("collective: no states to merge")
@@ -127,8 +123,10 @@ func sortRowUpdates(rows []lora.RowUpdate) {
 	}
 }
 
-// SyncGroup coordinates R replica lora.Sets through periodic priority-merge
-// synchronization (the Sync step of paper Fig 7, step 3).
+// SyncGroup prices and accounts the periodic priority-merge synchronization
+// of a replica fleet (the Sync step of paper Fig 7, step 3). It owns no
+// replicas: each Sync call merges the ranked snapshots its caller took, and
+// the caller publishes the merged state.
 //
 // Replica consistency after Sync requires the replicas to share a common
 // LoRA rank: Algorithm 3 exchanges factor rows (A[i]) plus the shared B, so
@@ -137,19 +135,13 @@ func sortRowUpdates(rows []lora.RowUpdate) {
 // hourly full sync); replicas here should either disable local rank
 // adaptation or adapt in lockstep.
 //
-// Accounting methods (Stats, GroupStats) and the cumulative counters are
-// guarded by an internal mutex so the asynchronous pipeline can fold results
-// in from a background goroutine while reporting code reads totals. The
-// delta-sync generation tracking shares that mutex and additionally assumes
-// merges are not concurrent with each other — the serialization every caller
-// (cluster syncMu, sequential Begin/Finish pairs) already provides.
+// Sync holds an internal mutex while it prices and commits, so concurrent
+// calls serialize and GroupStats may be read from any goroutine.
 type SyncGroup struct {
-	Replicas []*lora.Set
-
 	BandwidthBps float64
 	LatencySec   float64
 
-	topo     Topology // nil means Flat
+	topo     Topology
 	delta    bool
 	compress int // flate level; 0 = off
 
@@ -164,17 +156,8 @@ type SyncGroup struct {
 	rowGen map[int]map[int32]int64 // table → row id → generation it last changed
 }
 
-// topology returns the configured topology, defaulting to Flat so
-// zero-valued and legacy-constructed groups keep the original cost model.
-func (sg *SyncGroup) topology() Topology {
-	if sg.topo == nil {
-		return Flat{}
-	}
-	return sg.topo
-}
-
 // Topology returns the topology pricing this group's collectives.
-func (sg *SyncGroup) Topology() Topology { return sg.topology() }
+func (sg *SyncGroup) Topology() Topology { return sg.topo }
 
 // GroupStats is a SyncGroup's cumulative accounting across syncs.
 type GroupStats struct {
@@ -218,9 +201,8 @@ func (g GroupStats) Seconds() float64 {
 	return g.ComputeSeconds + g.PublishSeconds + g.CompressSeconds
 }
 
-// GroupConfig configures a SyncGroup beyond the uniform link parameters.
+// GroupConfig configures a SyncGroup.
 type GroupConfig struct {
-	Replicas     []*lora.Set
 	BandwidthBps float64
 	LatencySec   float64
 
@@ -237,8 +219,8 @@ type GroupConfig struct {
 	CompressLevel int
 }
 
-// NewSyncGroupWith builds a SyncGroup from an explicit configuration.
-func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
+// NewSyncGroup builds a SyncGroup from its configuration.
+func NewSyncGroup(cfg GroupConfig) (*SyncGroup, error) {
 	if cfg.CompressLevel < 0 || cfg.CompressLevel > 9 {
 		return nil, fmt.Errorf("collective: compression level %d out of range [0,9]", cfg.CompressLevel)
 	}
@@ -247,7 +229,6 @@ func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
 		topo = Flat{}
 	}
 	sg := &SyncGroup{
-		Replicas:     cfg.Replicas,
 		BandwidthBps: cfg.BandwidthBps,
 		LatencySec:   cfg.LatencySec,
 		topo:         topo,
@@ -263,37 +244,37 @@ func NewSyncGroupWith(cfg GroupConfig) (*SyncGroup, error) {
 	return sg, nil
 }
 
-// NewSyncGroup wraps the replica sets with uniform link parameters, flat
-// topology, full payloads, and no compression — the original cost model.
-func NewSyncGroup(replicas []*lora.Set, bandwidthBps, latencySec float64) *SyncGroup {
-	sg, err := NewSyncGroupWith(GroupConfig{
-		Replicas: replicas, BandwidthBps: bandwidthBps, LatencySec: latencySec,
-	})
+// Sync runs one priority-merge synchronization over pre-taken ranked
+// snapshots: the Algorithm 3 merge, the collective's price on the configured
+// topology, that cost charged to the clock (nil skips the charge), and the
+// accounting folded into the group totals. It returns the merged state and
+// the sync generation to stamp on published versions. Snapshotting and
+// publication stay with the caller, which syncs whatever members its live
+// view holds.
+func (sg *SyncGroup) Sync(c *simnet.Clock, states []RankedState) ([]lora.TableState, MergeStats, int64, error) {
+	merged, stats, err := PriorityMergeRanked(states)
 	if err != nil {
-		panic(err) // unreachable: the zero knobs are always valid
+		return nil, stats, 0, err
 	}
-	return sg
-}
-
-// Sync is the synchronous (barrier) protocol: it snapshots all replicas'
-// supports, priority-merges them, publishes the merged state everywhere, and
-// advances the clock by the AllGather + broadcast cost. Callers must have
-// quiesced every replica (it is the stop-the-world path). It returns the
-// merge statistics.
-func (sg *SyncGroup) Sync(c *simnet.Clock) (MergeStats, error) {
-	states := make([][]lora.TableState, len(sg.Replicas))
-	for i, r := range sg.Replicas {
-		states[i] = r.Snapshot()
+	sg.mu.Lock()
+	defer sg.mu.Unlock()
+	cost := sg.priceSyncLocked(states, merged)
+	if c != nil {
+		c.Advance(cost.computeSeconds + cost.publishSeconds + cost.compressSeconds)
 	}
-	merged, stats, cost, err := sg.merge(states)
-	if err != nil {
-		return stats, err
+	sg.stats.Syncs++
+	sg.stats.PayloadBytes += stats.PayloadBytes
+	sg.stats.WireBytes += cost.wireBytes
+	sg.stats.ComputeSeconds += cost.computeSeconds
+	sg.stats.PublishSeconds += cost.publishSeconds
+	sg.stats.CompressSeconds += cost.compressSeconds
+	sg.stats.DeltaSavedBytes += cost.deltaSaved
+	sg.stats.CompressSavedBytes += cost.compressSaved
+	gen := int64(sg.stats.Syncs)
+	if cost.tracking != nil {
+		sg.applyTrackingLocked(cost.tracking, gen)
 	}
-	epoch := sg.commit(cost, stats, c)
-	for _, r := range sg.Replicas {
-		r.Publish(merged, epoch)
-	}
-	return stats, nil
+	return merged, stats, gen, nil
 }
 
 // syncCost is one sync's wire/time bill, derived from the snapshots and the
@@ -306,42 +287,19 @@ type syncCost struct {
 	deltaSaved      int64
 	compressSaved   int64
 
-	// tracking stages the delta bookkeeping to apply at commit (nil when
-	// delta sync is off).
+	// tracking stages the delta bookkeeping to apply once the sync commits
+	// (nil when delta sync is off).
 	tracking *deltaTracking
 }
 
-// merge runs the priority merge and prices the collective: AllGather on the
-// largest per-rank payload (compute phase) plus a broadcast of the merged
-// state (publish phase). It does not touch the replicas, the clock, or the
-// cumulative stats, so it is safe to run on a background goroutine.
-func (sg *SyncGroup) merge(states [][]lora.TableState) ([]lora.TableState, MergeStats, syncCost, error) {
-	ranked := make([]RankedState, len(states))
-	for r, st := range states {
-		ranked[r] = RankedState{Rank: r, Tables: st}
-	}
-	return sg.mergeRanked(ranked)
-}
-
-// mergeRanked is merge over explicitly ranked states — the form an elastic
-// fleet uses, where the priority rank is a member's stable identity rather
-// than its position in a fixed replica slice.
-func (sg *SyncGroup) mergeRanked(states []RankedState) ([]lora.TableState, MergeStats, syncCost, error) {
-	merged, stats, err := PriorityMergeRanked(states)
-	if err != nil {
-		return nil, stats, syncCost{}, err
-	}
-	return merged, stats, sg.priceSync(states, merged), nil
-}
-
-// priceSync prices one sync's collective over the configured topology:
-// a gather paced by the largest per-rank payload, a broadcast of the merged
-// state, and — when enabled — delta tailoring and flate compression of both.
-// It never touches the replicas or the clock (delta tracking maps are read,
-// not written, under sg.mu), so it is safe on a background goroutine.
-func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) syncCost {
+// priceSyncLocked prices one sync's collective over the configured
+// topology: a gather paced by the largest per-rank payload, a broadcast of
+// the merged state, and — when enabled — delta tailoring and flate
+// compression of both. It reads the delta tracking maps but never writes
+// them; the caller holds sg.mu.
+func (sg *SyncGroup) priceSyncLocked(states []RankedState, merged []lora.TableState) syncCost {
 	n := len(states)
-	topo := sg.topology()
+	topo := sg.topo
 
 	// Full sizing: the pacing (largest) per-rank payload and the merged
 	// payload — the classic bill, and the baseline delta savings are
@@ -365,7 +323,7 @@ func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) s
 	pubTables := merged
 
 	if sg.delta {
-		ds := sg.deltaSize(states, merged)
+		ds := sg.deltaSizeLocked(states, merged)
 		perRank, mergedSize, sumRaw = ds.perRank, ds.merged, ds.sum
 		pacingTables, pubTables = ds.pacing, ds.pub
 		cost.tracking = ds.track
@@ -395,125 +353,9 @@ func (sg *SyncGroup) priceSync(states []RankedState, merged []lora.TableState) s
 	return cost
 }
 
-// SyncRanked runs one barrier-protocol sync over pre-taken ranked
-// snapshots: priority merge, collective pricing, cost charged to the clock,
-// accounting folded into the group totals. It returns the merged state and
-// the sync generation to stamp on published versions. Snapshotting and
-// publication stay with the caller — an elastic fleet snapshots whatever
-// members its live view holds, so the group's own replica list (if any) is
-// not consulted.
-func (sg *SyncGroup) SyncRanked(c *simnet.Clock, states []RankedState) ([]lora.TableState, MergeStats, int64, error) {
-	merged, stats, cost, err := sg.mergeRanked(states)
-	if err != nil {
-		return nil, stats, 0, err
-	}
-	epoch := sg.commit(cost, stats, c)
-	return merged, stats, epoch, nil
-}
-
-// commit charges one sync's cost to the clock and folds it into the
-// cumulative stats, returning the sync generation for version stamping.
-func (sg *SyncGroup) commit(cost syncCost, stats MergeStats, c *simnet.Clock) int64 {
-	if c != nil {
-		c.Advance(cost.computeSeconds + cost.publishSeconds + cost.compressSeconds)
-	}
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	sg.stats.Syncs++
-	sg.stats.PayloadBytes += stats.PayloadBytes
-	sg.stats.WireBytes += cost.wireBytes
-	sg.stats.ComputeSeconds += cost.computeSeconds
-	sg.stats.PublishSeconds += cost.publishSeconds
-	sg.stats.CompressSeconds += cost.compressSeconds
-	sg.stats.DeltaSavedBytes += cost.deltaSaved
-	sg.stats.CompressSavedBytes += cost.compressSaved
-	gen := int64(sg.stats.Syncs)
-	if cost.tracking != nil {
-		sg.applyTrackingLocked(cost.tracking, gen)
-	}
-	return gen
-}
-
-// Stats returns the cumulative sync count, the cumulative per-sync payload
-// totals (each rank's exported payload counted once per sync — the same
-// quantity MergeStats.PayloadBytes reports per sync), and the total virtual
-// seconds spent syncing. For the simulated wire traffic and the
-// compute/publish split, use GroupStats.
-func (sg *SyncGroup) Stats() (syncs int, bytes int64, seconds float64) {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	return sg.stats.Syncs, sg.stats.PayloadBytes, sg.stats.Seconds()
-}
-
 // GroupStats returns the full cumulative accounting.
 func (sg *SyncGroup) GroupStats() GroupStats {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
 	return sg.stats
-}
-
-// PendingMerge is one in-flight asynchronous priority merge: the snapshot
-// has been taken, the merge and its collective pricing run on a background
-// goroutine, and the merged state is staged until Finish publishes its cost.
-type PendingMerge struct {
-	done chan struct{}
-
-	merged []lora.TableState
-	stats  MergeStats
-	cost   syncCost
-	err    error
-}
-
-// AsyncSyncGroup is the pipelined half of the update path: Begin stages a
-// merge over pre-taken snapshots without blocking the caller, and Finish
-// waits for it, charges the simulated collective cost to the sync clock, and
-// hands back the merged state for per-replica publication. Snapshotting and
-// publication stay with the caller (a cluster locks each replica
-// individually around those two steps), so no fleet-wide barrier is needed
-// anywhere in the pipeline.
-type AsyncSyncGroup struct {
-	Group *SyncGroup
-}
-
-// NewAsyncSyncGroup wraps a SyncGroup for pipelined use. The two views share
-// replicas, link parameters, and cumulative accounting.
-func NewAsyncSyncGroup(sg *SyncGroup) *AsyncSyncGroup {
-	return &AsyncSyncGroup{Group: sg}
-}
-
-// Begin starts the background merge of the given per-rank snapshots (index =
-// rank id) and returns immediately. The snapshots must not be mutated after
-// the call — lora.Set.Snapshot's deep copies satisfy that by construction.
-func (ag *AsyncSyncGroup) Begin(states [][]lora.TableState) *PendingMerge {
-	p := &PendingMerge{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.merged, p.stats, p.cost, p.err = ag.Group.merge(states)
-	}()
-	return p
-}
-
-// BeginRanked is Begin over explicitly ranked snapshots (the elastic-fleet
-// form: rank ids are member identities and need not be contiguous).
-func (ag *AsyncSyncGroup) BeginRanked(states []RankedState) *PendingMerge {
-	p := &PendingMerge{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.merged, p.stats, p.cost, p.err = ag.Group.mergeRanked(states)
-	}()
-	return p
-}
-
-// Finish blocks until the pending merge completes, charges its simulated
-// AllGather + broadcast cost to the sync clock, folds the accounting into
-// the group totals, and returns the staged merged state together with the
-// sync generation to stamp on the published versions. Serving never waits
-// here: Finish is called from the pipeline's own goroutine.
-func (ag *AsyncSyncGroup) Finish(p *PendingMerge, c *simnet.Clock) ([]lora.TableState, MergeStats, int64, error) {
-	<-p.done
-	if p.err != nil {
-		return nil, p.stats, 0, p.err
-	}
-	epoch := ag.Group.commit(p.cost, p.stats, c)
-	return p.merged, p.stats, epoch, nil
 }

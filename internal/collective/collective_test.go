@@ -82,6 +82,43 @@ func trainOn(s *lora.Set, table int, id int32, seed uint64) {
 	}
 }
 
+// exportRanked exports every set's state, ranked by its index.
+func exportRanked(sets []*lora.Set) []RankedState {
+	states := make([]RankedState, len(sets))
+	for r, s := range sets {
+		states[r] = RankedState{Rank: r, Tables: s.ExportState()}
+	}
+	return states
+}
+
+// newTestGroup builds a flat, full-payload, uncompressed group on 100 GbE
+// links with 1 ms latency.
+func newTestGroup(t *testing.T) *SyncGroup {
+	t.Helper()
+	sg, err := NewSyncGroup(GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sg
+}
+
+// syncSets runs one sync over the sets the way a fleet does: snapshot each
+// set (rank = index), Sync, publish the merged state to every set.
+func syncSets(sg *SyncGroup, c *simnet.Clock, sets []*lora.Set) (MergeStats, error) {
+	states := make([]RankedState, len(sets))
+	for r, s := range sets {
+		states[r] = RankedState{Rank: r, Tables: s.Snapshot()}
+	}
+	merged, stats, epoch, err := sg.Sync(c, states)
+	if err != nil {
+		return stats, err
+	}
+	for _, s := range sets {
+		s.Publish(merged, epoch)
+	}
+	return stats, nil
+}
+
 func TestPriorityMergeMaxRankWins(t *testing.T) {
 	replicas := makeReplicas(3)
 	// Ranks 0 and 2 both modify (table 0, id 7); rank 2 must win.
@@ -89,12 +126,8 @@ func TestPriorityMergeMaxRankWins(t *testing.T) {
 	trainOn(replicas[2], 0, 7, 200)
 	trainOn(replicas[1], 1, 3, 300)
 
-	states := [][]lora.TableState{
-		replicas[0].ExportState(),
-		replicas[1].ExportState(),
-		replicas[2].ExportState(),
-	}
-	merged, stats, err := PriorityMerge(states)
+	states := exportRanked(replicas)
+	merged, stats, err := PriorityMergeRanked(states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +152,7 @@ func TestPriorityMergeMaxRankWins(t *testing.T) {
 	if !found {
 		t.Fatal("merged state missing id 7")
 	}
-	want := states[2][0].Rows
+	want := states[2].Tables[0].Rows
 	var wantRow lora.RowUpdate
 	for _, u := range want {
 		if u.ID == 7 {
@@ -148,10 +181,7 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 	trainOn(replicas[0], 0, 11, 500)
 	trainOn(replicas[1], 0, 12, 600)
 
-	ranked := make([]RankedState, 3)
-	for r := range ranked {
-		ranked[r] = RankedState{Rank: r, Tables: replicas[r].ExportState()}
-	}
+	ranked := exportRanked(replicas)
 	ref, refStats, err := PriorityMergeRanked(append([]RankedState(nil), ranked...))
 	if err != nil {
 		t.Fatal(err)
@@ -197,18 +227,6 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 			}
 		}
 	}
-	// PriorityMerge (index = rank) must agree with the ranked form.
-	states := make([][]lora.TableState, 3)
-	for r := range states {
-		states[r] = ranked[r].Tables
-	}
-	viaIndex, idxStats, err := PriorityMerge(states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idxStats != refStats || len(viaIndex) != len(ref) {
-		t.Fatalf("PriorityMerge disagrees with PriorityMergeRanked: %+v vs %+v", idxStats, refStats)
-	}
 	// Duplicate rank ids are ambiguous priorities and must be rejected.
 	if _, _, err := PriorityMergeRanked([]RankedState{
 		{Rank: 1, Tables: ranked[0].Tables},
@@ -220,8 +238,8 @@ func TestPriorityMergeOrderInvariant(t *testing.T) {
 
 // TestSyncGroupByteAccounting is the regression test for the payload/wire
 // accounting mismatch: MergeStats.PayloadBytes counts each rank's export
-// exactly once per sync, SyncGroup.Stats accumulates exactly those per-sync
-// totals, and GroupStats.WireBytes bills the simulated collective
+// exactly once per sync, GroupStats.PayloadBytes accumulates exactly those
+// per-sync totals, and GroupStats.WireBytes bills the simulated collective
 // (recursive-doubling AllGather on the max per-rank payload plus the
 // broadcast of the merged state).
 func TestSyncGroupByteAccounting(t *testing.T) {
@@ -230,17 +248,16 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 	trainOn(replicas[1], 0, 9, 2)
 	trainOn(replicas[2], 1, 3, 3)
 
-	states := make([][]lora.TableState, len(replicas))
+	states := exportRanked(replicas)
 	var wantPayload, maxPayload int64
-	for i, r := range replicas {
-		states[i] = r.ExportState()
-		p := lora.PayloadBytes(states[i])
+	for _, st := range states {
+		p := lora.PayloadBytes(st.Tables)
 		wantPayload += p
 		if p > maxPayload {
 			maxPayload = p
 		}
 	}
-	merged, stats, err := PriorityMerge(states)
+	merged, stats, err := PriorityMergeRanked(states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,15 +265,15 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 		t.Fatalf("MergeStats.PayloadBytes = %d, want Σ per-rank exports %d", stats.PayloadBytes, wantPayload)
 	}
 
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
-	if _, err := sg.Sync(simnet.NewClock()); err != nil {
+	sg := newTestGroup(t)
+	clock := simnet.NewClock()
+	if _, err := syncSets(sg, clock, replicas); err != nil {
 		t.Fatal(err)
 	}
-	syncs, bytes, secs := sg.Stats()
-	if syncs != 1 || bytes != wantPayload {
-		t.Fatalf("Stats() = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", syncs, bytes, wantPayload)
-	}
 	gs := sg.GroupStats()
+	if gs.Syncs != 1 || gs.PayloadBytes != wantPayload {
+		t.Fatalf("GroupStats = (%d, %d), want (1, %d): cumulative bytes must be per-sync payload totals", gs.Syncs, gs.PayloadBytes, wantPayload)
+	}
 	// n=4: 2 gather rounds ship 4·(1+2)·maxPayload; the broadcast 3 copies.
 	gather, bcast := 12*maxPayload, 3*lora.PayloadBytes(merged)
 	if wantWire := gather + bcast; gs.WireBytes != wantWire {
@@ -268,11 +285,11 @@ func TestSyncGroupByteAccounting(t *testing.T) {
 	if gs.ComputeSeconds <= 0 || gs.PublishSeconds <= 0 {
 		t.Fatalf("cost split missing: %+v", gs)
 	}
-	if math.Abs(secs-gs.Seconds()) > 1e-15 {
-		t.Fatalf("Stats seconds %v != GroupStats total %v", secs, gs.Seconds())
+	if clock.Now() != gs.Seconds() {
+		t.Fatalf("clock charged %v, GroupStats total %v", clock.Now(), gs.Seconds())
 	}
 	// A second sync accumulates on top (supports were reset, so only B moves).
-	if _, err := sg.Sync(simnet.NewClock()); err != nil {
+	if _, err := syncSets(sg, simnet.NewClock(), replicas); err != nil {
 		t.Fatal(err)
 	}
 	if got := sg.GroupStats(); got.Syncs != 2 || got.PayloadBytes <= gs.PayloadBytes {
@@ -300,91 +317,13 @@ func TestAllGatherAndBroadcastBytes(t *testing.T) {
 	}
 }
 
-// TestAsyncSyncGroupMatchesSync verifies the pipelined protocol is the same
-// merge, the same cost, and the same accounting as the barrier Sync — only
-// staged: Begin runs the merge in the background over pre-taken snapshots,
-// Finish charges the clock and returns the staged state for publication.
-func TestAsyncSyncGroupMatchesSync(t *testing.T) {
-	mkTrained := func() []*lora.Set {
-		replicas := makeReplicas(3)
-		trainOn(replicas[0], 0, 5, 1)
-		trainOn(replicas[1], 0, 5, 2)
-		trainOn(replicas[2], 1, 9, 3)
-		return replicas
-	}
-
-	barrier := mkTrained()
-	bsg := NewSyncGroup(barrier, simnet.Gbps100, 0.001)
-	bclock := simnet.NewClock()
-	bstats, err := bsg.Sync(bclock)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pipelined := mkTrained()
-	asg := NewAsyncSyncGroup(NewSyncGroup(pipelined, simnet.Gbps100, 0.001))
-	aclock := simnet.NewClock()
-	states := make([][]lora.TableState, len(pipelined))
-	for i, r := range pipelined {
-		states[i] = r.Snapshot()
-	}
-	merged, astats, epoch, err := asg.Finish(asg.Begin(states), aclock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range pipelined {
-		r.Publish(merged, epoch)
-	}
-
-	if astats != bstats {
-		t.Fatalf("async merge stats %+v differ from barrier %+v", astats, bstats)
-	}
-	if aclock.Now() != bclock.Now() {
-		t.Fatalf("async clock charge %v differs from barrier %v", aclock.Now(), bclock.Now())
-	}
-	if asg.Group.GroupStats() != bsg.GroupStats() {
-		t.Fatalf("async accounting %+v differs from barrier %+v", asg.Group.GroupStats(), bsg.GroupStats())
-	}
-	if epoch != 1 {
-		t.Fatalf("first sync generation = %d, want 1", epoch)
-	}
-	// Replica consistency and version stamping after the async publish.
-	ref := make([]float64, 8)
-	got := make([]float64, 8)
-	for _, q := range []struct {
-		table int
-		id    int32
-	}{{0, 5}, {1, 9}} {
-		pipelined[0].EffectiveRow(q.table, q.id, ref)
-		for r := 1; r < len(pipelined); r++ {
-			pipelined[r].EffectiveRow(q.table, q.id, got)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("replica %d diverges on table %d id %d after async publish", r, q.table, q.id)
-				}
-			}
-		}
-	}
-	for i, r := range pipelined {
-		if r.Epoch() != epoch {
-			t.Fatalf("replica %d epoch %d, want %d", i, r.Epoch(), epoch)
-		}
-		if v := r.Published(); v == nil || len(v.Tables) != 2 {
-			t.Fatalf("replica %d published version malformed", i)
-		}
-	}
-}
-
 func TestPriorityMergeErrors(t *testing.T) {
-	if _, _, err := PriorityMerge(nil); err == nil {
+	if _, _, err := PriorityMergeRanked(nil); err == nil {
 		t.Fatal("empty merge must error")
 	}
-	replicas := makeReplicas(2)
-	bad := [][]lora.TableState{
-		replicas[0].ExportState(),
-		replicas[1].ExportState()[:1], // table count mismatch
-	}
-	if _, _, err := PriorityMerge(bad); err == nil {
+	bad := exportRanked(makeReplicas(2))
+	bad[1].Tables = bad[1].Tables[:1] // table count mismatch
+	if _, _, err := PriorityMergeRanked(bad); err == nil {
 		t.Fatal("table mismatch must error")
 	}
 }
@@ -399,9 +338,9 @@ func TestSyncGroupConvergence(t *testing.T) {
 	trainOn(replicas[2], 1, 9, 3)
 	trainOn(replicas[3], 0, 30, 4)
 
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+	sg := newTestGroup(t)
 	c := simnet.NewClock()
-	stats, err := sg.Sync(c)
+	stats, err := syncSets(sg, c, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,21 +375,20 @@ func TestSyncGroupConvergence(t *testing.T) {
 			}
 		}
 	}
-	syncs, bytes, secs := sg.Stats()
-	if syncs != 1 || bytes <= 0 || secs <= 0 {
-		t.Fatalf("stats %d %d %v", syncs, bytes, secs)
+	if gs := sg.GroupStats(); gs.Syncs != 1 || gs.PayloadBytes <= 0 || gs.Seconds() <= 0 {
+		t.Fatalf("stats %+v", gs)
 	}
 }
 
 func TestSyncGroupIdempotentWhenQuiet(t *testing.T) {
 	replicas := makeReplicas(2)
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+	sg := newTestGroup(t)
 	c := simnet.NewClock()
-	if _, err := sg.Sync(c); err != nil {
+	if _, err := syncSets(sg, c, replicas); err != nil {
 		t.Fatal(err)
 	}
 	// Second sync with no training in between must merge zero rows.
-	stats, err := sg.Sync(c)
+	stats, err := syncSets(sg, c, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,8 +415,7 @@ func TestSyncIntervalAccuracyTradeoffSetup(t *testing.T) {
 	if !diverged {
 		t.Fatal("replicas should diverge before sync")
 	}
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
-	if _, err := sg.Sync(nil); err != nil { // nil clock allowed
+	if _, err := syncSets(newTestGroup(t), nil, replicas); err != nil { // nil clock allowed
 		t.Fatal(err)
 	}
 	replicas[0].EffectiveRow(0, 5, a)
@@ -515,8 +452,7 @@ func TestSyncGroupConsistencyAfterLongRun(t *testing.T) {
 		id := int32(rng.Intn(200))
 		replicas[step%nodes].ApplyGrad(table, []int32{id}, g, 0.05)
 	}
-	sg := NewSyncGroup(replicas, simnet.Gbps100, 0.001)
-	if _, err := sg.Sync(simnet.NewClock()); err != nil {
+	if _, err := syncSets(newTestGroup(t), simnet.NewClock(), replicas); err != nil {
 		t.Fatal(err)
 	}
 	ref := make([]float64, 8)

@@ -45,10 +45,10 @@ type deltaSizing struct {
 	backSecs  float64 // point-to-point publish time for the backfills
 }
 
-// deltaSize computes the delta-adjusted payload sizes for one sync. It reads
-// the tracking maps under sg.mu but defers every mutation to commit via the
-// staged deltaTracking, so a failed or abandoned merge leaves no trace.
-func (sg *SyncGroup) deltaSize(states []RankedState, merged []lora.TableState) deltaSizing {
+// deltaSizeLocked computes the delta-adjusted payload sizes for one sync. It
+// reads the tracking maps (the caller holds sg.mu) and stages every mutation
+// in the returned deltaTracking, which Sync applies once the sync commits.
+func (sg *SyncGroup) deltaSizeLocked(states []RankedState, merged []lora.TableState) deltaSizing {
 	numTables := len(merged)
 	ds := deltaSizing{
 		track: &deltaTracking{
@@ -68,9 +68,6 @@ func (sg *SyncGroup) deltaSize(states []RankedState, merged []lora.TableState) d
 		}
 		ds.track.mergedIDs[t] = ids
 	}
-
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
 
 	// Per-rank gather payloads: rows always ship (exports hold only rows
 	// modified since the last snapshot), the shared factor ships only when

@@ -189,7 +189,7 @@ func TestTopologyMergeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Fresh group per run: delta tracking is stateful.
-			sg, err := NewSyncGroupWith(GroupConfig{
+			sg, err := NewSyncGroup(GroupConfig{
 				BandwidthBps:  simnet.Gbps100,
 				LatencySec:    1e-6,
 				Topology:      topo,
@@ -203,7 +203,7 @@ func TestTopologyMergeEquivalence(t *testing.T) {
 			for i, p := range perm {
 				permuted[i] = states[p]
 			}
-			merged, _, _, err := sg.SyncRanked(simnet.NewClock(), permuted)
+			merged, _, _, err := sg.Sync(simnet.NewClock(), permuted)
 			if err != nil {
 				t.Fatalf("%s perm %v: %v", v.name, perm, err)
 			}
@@ -234,7 +234,7 @@ func TestTopologyByteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sg, err := NewSyncGroupWith(GroupConfig{
+		sg, err := NewSyncGroup(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
 			Topology:     topo,
@@ -242,7 +242,7 @@ func TestTopologyByteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, _, _, err := sg.SyncRanked(simnet.NewClock(), states)
+		merged, _, _, err := sg.Sync(simnet.NewClock(), states)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestTopologyByteAccounting(t *testing.T) {
 func TestDeltaAccountingIdentity(t *testing.T) {
 	states := rankedExports(t, 4)
 	newGroup := func(delta bool) *SyncGroup {
-		sg, err := NewSyncGroupWith(GroupConfig{
+		sg, err := NewSyncGroup(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
 			Topology:     Tree{},
@@ -281,11 +281,11 @@ func TestDeltaAccountingIdentity(t *testing.T) {
 		return sg
 	}
 	full, delta := newGroup(false), newGroup(true)
-	mergedFull, _, _, err := full.SyncRanked(simnet.NewClock(), states)
+	mergedFull, _, _, err := full.Sync(simnet.NewClock(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedDelta, _, _, err := delta.SyncRanked(simnet.NewClock(), states)
+	mergedDelta, _, _, err := delta.Sync(simnet.NewClock(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestDeltaAccountingIdentity(t *testing.T) {
 		quiet[i] = RankedState{Rank: st.Rank, Tables: tables}
 	}
 	before := delta.GroupStats()
-	if _, _, _, err := delta.SyncRanked(simnet.NewClock(), quiet); err != nil {
+	if _, _, _, err := delta.Sync(simnet.NewClock(), quiet); err != nil {
 		t.Fatal(err)
 	}
 	after := delta.GroupStats()
@@ -347,7 +347,7 @@ func TestDeltaBackfillStaleRank(t *testing.T) {
 		return RankedState{Rank: r, Tables: []lora.TableState{{Rank: rank, B: sharedB, Rows: rows}}}
 	}
 	newDelta := func() *SyncGroup {
-		sg, err := NewSyncGroupWith(GroupConfig{
+		sg, err := NewSyncGroup(GroupConfig{
 			BandwidthBps: simnet.Gbps100,
 			LatencySec:   1e-6,
 			Topology:     Tree{},
@@ -364,7 +364,7 @@ func TestDeltaBackfillStaleRank(t *testing.T) {
 	x, y := newDelta(), newDelta()
 	sync := func(sg *SyncGroup, states ...RankedState) GroupStats {
 		t.Helper()
-		if _, _, _, err := sg.SyncRanked(simnet.NewClock(), states); err != nil {
+		if _, _, _, err := sg.Sync(simnet.NewClock(), states); err != nil {
 			t.Fatal(err)
 		}
 		return sg.GroupStats()
@@ -401,7 +401,7 @@ func TestDeltaBackfillStaleRank(t *testing.T) {
 func TestCompressionAccounting(t *testing.T) {
 	states := rankedExports(t, 4)
 	newGroup := func(level int) *SyncGroup {
-		sg, err := NewSyncGroupWith(GroupConfig{
+		sg, err := NewSyncGroup(GroupConfig{
 			BandwidthBps:  simnet.Gbps100,
 			LatencySec:    1e-6,
 			Topology:      Tree{},
@@ -413,11 +413,11 @@ func TestCompressionAccounting(t *testing.T) {
 		return sg
 	}
 	plain, z := newGroup(0), newGroup(6)
-	mergedPlain, _, _, err := plain.SyncRanked(simnet.NewClock(), states)
+	mergedPlain, _, _, err := plain.Sync(simnet.NewClock(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedZ, _, _, err := z.SyncRanked(simnet.NewClock(), states)
+	mergedZ, _, _, err := z.Sync(simnet.NewClock(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +442,11 @@ func TestCompressionAccounting(t *testing.T) {
 
 func TestNewSyncGroupWithValidation(t *testing.T) {
 	for _, level := range []int{-1, 10} {
-		if _, err := NewSyncGroupWith(GroupConfig{BandwidthBps: 1e9, CompressLevel: level}); err == nil {
+		if _, err := NewSyncGroup(GroupConfig{BandwidthBps: 1e9, CompressLevel: level}); err == nil {
 			t.Fatalf("compression level %d must be rejected", level)
 		}
 	}
-	sg, err := NewSyncGroupWith(GroupConfig{BandwidthBps: 1e9})
+	sg, err := NewSyncGroup(GroupConfig{BandwidthBps: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,7 +281,7 @@ func (m *Model) Forward(src EmbeddingSource, dense []float64, sparse [][]int32, 
 // ForwardScratch owns every buffer one inference forward pass touches: the
 // per-layer MLP activations, the gathered (pooled) embedding rows, the
 // interaction-feature view, and the top-MLP input. Reusing a scratch across
-// requests makes PredictWith allocation-free.
+// requests makes InferLogit allocation-free.
 //
 // Ownership rules: a scratch serves one forward pass at a time — it is NOT
 // safe for concurrent use; callers either thread their own (NewScratch /
@@ -371,12 +371,6 @@ func (m *Model) Predict(src EmbeddingSource, dense []float64, sparse [][]int32) 
 	return p
 }
 
-// PredictWith is Predict through a caller-owned scratch — the batch-amortized
-// form: acquire one scratch, score many requests, release once.
-func (m *Model) PredictWith(src EmbeddingSource, dense []float64, sparse [][]int32, sc *ForwardScratch) float64 {
-	return Sigmoid(m.forwardInto(src, dense, sparse, sc))
-}
-
 // BatchScratch owns every buffer one batched inference pass touches: the
 // packed dense input matrix, per-layer batch activations for both MLPs, the
 // per-sample embedding gather rows, and the packed top-MLP input matrix.
@@ -438,22 +432,15 @@ func (m *Model) ReleaseBatchScratch(bs *BatchScratch) { m.batch.Put(bs) }
 // PredictBatch scores len(out) examples, writing click probabilities into
 // out. dense, sparse, and out must have equal lengths.
 //
-// With sc == nil (the fast path) the batch runs through a pooled
-// BatchScratch: the dense rows are packed into one matrix and each MLP runs
-// one GEMM over the whole batch instead of a matvec per sample. The GEMM
-// accumulates in the same order as the per-sample kernels, so results are
-// bit-identical to calling Predict in a loop (TestPredictBatch). Passing a
-// caller-owned ForwardScratch keeps the legacy per-sample loop.
-func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64, sc *ForwardScratch) {
+// The batch runs through a pooled BatchScratch: the dense rows are packed
+// into one matrix and each MLP runs one GEMM over the whole batch instead of
+// a matvec per sample. The GEMM accumulates in the same order as the
+// per-sample kernels, so results are bit-identical to calling Predict in a
+// loop (TestPredictBatch).
+func (m *Model) PredictBatch(src EmbeddingSource, dense [][]float64, sparse [][][]int32, out []float64) {
 	if len(dense) != len(out) || len(sparse) != len(out) {
 		panic(fmt.Sprintf("dlrm: PredictBatch lengths dense=%d sparse=%d out=%d",
 			len(dense), len(sparse), len(out)))
-	}
-	if sc != nil {
-		for i := range out {
-			out[i] = Sigmoid(m.forwardInto(src, dense[i], sparse[i], sc))
-		}
-		return
 	}
 	if len(out) == 0 {
 		return
@@ -593,9 +580,10 @@ func (m *Model) TrainStepWith(src EmbeddingSource, dense []float64, sparse [][]i
 	return loss
 }
 
-// InferLogit is the raw-logit form of PredictWith — the allocation-free
-// inference pass without the sigmoid, for callers that rank by score (AUC
-// evaluation) or apply their own link function.
+// InferLogit is the allocation-free inference pass through a caller-owned
+// scratch, returning the raw logit (no sigmoid): acquire one scratch, score
+// many requests, release once. Callers rank by it (AUC evaluation) or apply
+// their own link function.
 func (m *Model) InferLogit(src EmbeddingSource, dense []float64, sparse [][]int32, sc *ForwardScratch) float64 {
 	return m.forwardInto(src, dense, sparse, sc)
 }

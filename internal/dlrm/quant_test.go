@@ -116,8 +116,8 @@ func TestQuantPredictZeroAlloc(t *testing.T) {
 		sc := m.NewScratch()
 		sparse := [][]int32{{1, 7}, {3}, {9, 11, 2}}
 		dense := []float64{0.5, -1, 2, 0.25}
-		if n := testing.AllocsPerRun(200, func() { m.PredictWith(b, dense, sparse, sc) }); n != 0 {
-			t.Fatalf("quant=%s PredictWith allocates %v per run, want 0", mode, n)
+		if n := testing.AllocsPerRun(200, func() { m.InferLogit(b, dense, sparse, sc) }); n != 0 {
+			t.Fatalf("quant=%s InferLogit allocates %v per run, want 0", mode, n)
 		}
 	}
 }
@@ -141,8 +141,8 @@ func TestPredictBatchZeroAlloc(t *testing.T) {
 			sparse[i] = [][]int32{{int32(i)}, {int32(2 * i)}, {int32(i), int32(i + 1)}}
 		}
 		out := make([]float64, n)
-		m.PredictBatch(b, dense, sparse, out, nil) // warm the pool
-		if a := testing.AllocsPerRun(200, func() { m.PredictBatch(b, dense, sparse, out, nil) }); a != 0 {
+		m.PredictBatch(b, dense, sparse, out) // warm the pool
+		if a := testing.AllocsPerRun(200, func() { m.PredictBatch(b, dense, sparse, out) }); a != 0 {
 			t.Fatalf("quant=%s PredictBatch allocates %v per run, want 0", mode, a)
 		}
 	}
@@ -163,7 +163,7 @@ func TestQuantPredictBatchMatchesSequential(t *testing.T) {
 		sparse[i] = [][]int32{{int32(i)}, {int32(i + 3)}, {int32(i), int32(i + 1)}}
 	}
 	out := make([]float64, n)
-	m.PredictBatch(b, dense, sparse, out, nil)
+	m.PredictBatch(b, dense, sparse, out)
 	for i := range out {
 		if want := m.Predict(b, dense[i], sparse[i]); out[i] != want {
 			t.Fatalf("quant batch[%d] = %v, want %v", i, out[i], want)

@@ -295,7 +295,10 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 			return 0, err
 		}
 	}
-	sg := collective.NewSyncGroup(replicas, simnet.Gbps100, 0.001)
+	sg, err := collective.NewSyncGroup(collective.GroupConfig{BandwidthBps: simnet.Gbps100, LatencySec: 0.001})
+	if err != nil {
+		return 0, err
+	}
 	clock := simnet.NewClock()
 
 	sum, count := 0.0, 0
@@ -318,7 +321,7 @@ func runReplicaPair(p trace.Profile, o Options, interval, windows int) (float64,
 			}
 		}
 		if (w+1)%interval == 0 {
-			if _, err := sg.Sync(clock); err != nil {
+			if err := syncSets(sg, clock, replicas); err != nil {
 				return 0, err
 			}
 		}

@@ -80,8 +80,7 @@ func runSyncScaleCell(seed uint64, n int, cfg ssConfig) (ssCell, error) {
 	if err != nil {
 		return ssCell{}, err
 	}
-	sg, err := collective.NewSyncGroupWith(collective.GroupConfig{
-		Replicas:      sets,
+	sg, err := collective.NewSyncGroup(collective.GroupConfig{
 		BandwidthBps:  ssBw,
 		LatencySec:    ssLat,
 		Topology:      topo,
@@ -115,11 +114,29 @@ func runSyncScaleCell(seed uint64, n int, cfg ssConfig) (ssCell, error) {
 				}
 			}
 		}
-		if _, err := sg.Sync(clock); err != nil {
+		if err := syncSets(sg, clock, sets); err != nil {
 			return ssCell{}, fmt.Errorf("syncscale: n=%d %s sync %d: %w", n, cfg.label, round+1, err)
 		}
 	}
 	return ssCell{stats: sg.GroupStats(), fp: ssFingerprint(sets, hot)}, nil
+}
+
+// syncSets runs one priority-merge sync over sets the way a fleet does:
+// snapshot each set (its index is its rank), merge and price in sg, and
+// publish the merged state to every set.
+func syncSets(sg *collective.SyncGroup, clock *simnet.Clock, sets []*lora.Set) error {
+	states := make([]collective.RankedState, len(sets))
+	for r, s := range sets {
+		states[r] = collective.RankedState{Rank: r, Tables: s.Snapshot()}
+	}
+	merged, _, epoch, err := sg.Sync(clock, states)
+	if err != nil {
+		return err
+	}
+	for _, s := range sets {
+		s.Publish(merged, epoch)
+	}
+	return nil
 }
 
 // ssFingerprint hashes the post-sync effective rows of a deterministic

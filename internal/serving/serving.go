@@ -252,7 +252,7 @@ func (n *Node) PredictBatch(samples []trace.Sample, probs []float64) {
 		v.sparse = append(v.sparse, samples[i].Sparse)
 	}
 	t0 := n.Trace.StageStart(obs.StageForward) // one forward span per batch
-	n.Model.PredictBatch(n.Emb, v.dense, v.sparse, probs, nil)
+	n.Model.PredictBatch(n.Emb, v.dense, v.sparse, probs)
 	n.Trace.StageEnd(obs.StageForward, t0)
 	viewPool.Put(v)
 }

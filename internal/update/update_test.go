@@ -386,3 +386,19 @@ func TestSetDenseOpt(t *testing.T) {
 }
 
 func dlrmAdagrad() dlrm.Optimizer { return dlrm.Adagrad{LR: 0.05} }
+
+func TestPaperScaleSyncArithmetic(t *testing.T) {
+	cm := costModel("bd-tb") // 100 GbE inter-cluster link
+	// Paper §I: syncing 20 TB (10% of 200 TB) over 100 GbE takes >26 min.
+	if minutes := cm.TransferSeconds(20*(1<<40)) / 60; minutes < 26 || minutes > 35 {
+		t.Fatalf("20 TB over 100GbE = %.1f min, paper says >26 min", minutes)
+	}
+	// Paper §II-C: full 200 TB takes over four hours.
+	if hours := cm.TransferSeconds(200*(1<<40)) / 3600; hours < 4 {
+		t.Fatalf("200 TB over 100GbE = %.1f h, paper says >4 h", hours)
+	}
+	// Paper §II-C: QuickUpdate's 10 TB delta takes >14 min.
+	if minutes := cm.TransferSeconds(10*(1<<40)) / 60; minutes < 14 {
+		t.Fatalf("10 TB over 100GbE = %.1f min, paper says >14 min", minutes)
+	}
+}
